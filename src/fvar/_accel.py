@@ -1,20 +1,18 @@
 """Hot numeric kernels: restart-based block FISTA and lagged VAR recursion.
 
-Both kernels are written once in plain numpy and compiled with numba when it
-is available.  Set the environment variable ``FVAR_NUMBA=0`` (or ``false`` /
-``off``) before import to force the pure-numpy path; ``fvar.accel_backend()``
-reports which path is active.  ``benchmarks/bench_kernels.py`` compares the
-two paths on representative workloads.
+Both are written once in numpy.  The FISTA kernel works on whole arrays per
+iteration: block norms through ``np.add.reduceat`` over the block offsets,
+the blockwise shrink factors spread back to rows with ``np.repeat``, so its
+per-iteration cost is a few matrix products plus a fixed number of numpy
+calls, independent of the number of blocks.  ``fvar.accel_backend()`` names
+the implementation; ``benchmarks/run.py`` records it next to its timings.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
-
-_FLAG = os.environ.get("FVAR_NUMBA", "1").strip().lower()
-NUMBA_REQUESTED = _FLAG not in ("0", "false", "off", "no")
 
 # Status codes returned by the FISTA kernel.
 FISTA_CONVERGED = 1
@@ -22,41 +20,51 @@ FISTA_MAX_ITER = 0
 FISTA_DIVERGED = -1
 
 
-def _fista_solve(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
+def block_sq_norms(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each row block of the 2-d array ``a``;
+    block k starts at row ``starts[k]`` and ends where the next one starts.
+    Every block must be nonempty: ``reduceat`` reads an empty one as the
+    single row at its start."""
+    return np.add.reduceat(np.einsum("ij,ij->i", a, a), starts)
+
+
+def fista_solve(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
     """Minimize 0.5*||Y - B X||_F^2 + gamma * sum_k ||X_k||_F blockwise.
 
     Works on the Gram form: ``gram = B.T @ B``, ``hmat = B.T @ Y`` and
     ``ynorm_sq = ||Y||_F^2``, so the data matrix itself is never touched
-    inside the iteration.  ``offsets`` delimits the row blocks of X.
+    inside the iteration.  ``offsets`` delimits the row blocks of X, each
+    of at least one row.
 
     Per iteration: gradient step from the extrapolated point, blockwise
     group soft-threshold with threshold gamma*step, momentum update
     theta -> (1 + sqrt(1 + 4 theta^2))/2, extrapolation, and a restart
     whenever trace{(X - Xt_new)^T (Xt_new - Xt)} > 0, in which case the
-    accumulated momentum is dropped (X reset to the previous iterate,
+    accumulated momentum is dropped (X kept at the previous iterate,
     theta reset to 1).
 
     Returns ``(x, trace, n_trace, status)`` where ``trace[:n_trace]`` holds
     the objective evaluated at each proximal point (entry 0 is the
     objective at ``x0``) and ``status`` is one of the FISTA_* codes.
     """
-    r, q = hmat.shape
-    nblocks = offsets.shape[0] - 1
-
-    x = x0.copy()          # extrapolated iterate X^{(m)}
-    xt = x0.copy()         # proximal point  Xt^{(m)}
-    xt_new = np.empty((r, q))
-    theta = 1.0
+    starts = offsets[:-1]
+    sizes = np.diff(offsets)
     tau = gamma * step
+    # z blocks at or below tau shrink to zero: 1 - tau/max(norm, tau) = 0;
+    # with tau = 0 nothing shrinks and the floor only keeps 0/0 out
+    floor = tau if tau > 0.0 else 1.0
+
+    def objective(xt, penalty):
+        return 0.5 * (ynorm_sq - 2.0 * np.vdot(hmat, xt)
+                      + np.vdot(xt, gram @ xt)) + penalty
+
+    # no array is updated in place below, so x and xt may share storage
+    xt = x0.copy()         # proximal point  Xt^{(m)}
+    x = xt                 # extrapolated iterate X^{(m)}
+    theta = 1.0
 
     trace = np.empty(max_iter + 1)
-    g_prev = 0.5 * (ynorm_sq - 2.0 * np.sum(hmat * xt) + np.sum(xt * np.dot(gram, xt)))
-    for k in range(nblocks):
-        bn = 0.0
-        for i in range(offsets[k], offsets[k + 1]):
-            for j in range(q):
-                bn += xt[i, j] * xt[i, j]
-        g_prev += gamma * np.sqrt(bn)
+    g_prev = objective(xt, gamma * np.sum(np.sqrt(block_sq_norms(xt, starts))))
     trace[0] = g_prev
     n_trace = 1
     status = FISTA_MAX_ITER
@@ -64,42 +72,16 @@ def _fista_solve(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
     pure_step = True  # x holds the last proximal point, no momentum mixed in
 
     for _ in range(max_iter):
-        grad = np.dot(gram, x) - hmat
-        z = x - step * grad
+        z = x - step * (gram @ x - hmat)
+        zn = np.sqrt(block_sq_norms(z, starts))
+        scale = 1.0 - tau / np.maximum(zn, floor)
+        xt_new = z * np.repeat(scale, sizes)[:, None]
+        g_cand = objective(xt_new, gamma * np.vdot(scale, zn))
 
-        penalty = 0.0
-        for k in range(nblocks):
-            lo = offsets[k]
-            hi = offsets[k + 1]
-            bn = 0.0
-            for i in range(lo, hi):
-                for j in range(q):
-                    bn += z[i, j] * z[i, j]
-            bn = np.sqrt(bn)
-            if bn <= tau:
-                for i in range(lo, hi):
-                    for j in range(q):
-                        xt_new[i, j] = 0.0
-            else:
-                scale = 1.0 - tau / bn
-                for i in range(lo, hi):
-                    for j in range(q):
-                        xt_new[i, j] = scale * z[i, j]
-                penalty += gamma * scale * bn
-
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         omega = (theta - 1.0) / theta_new
-
-        restart = 0.0
-        for i in range(r):
-            for j in range(q):
-                restart += (x[i, j] - xt_new[i, j]) * (xt_new[i, j] - xt[i, j])
-
-        g_cand = 0.5 * (ynorm_sq - 2.0 * np.sum(hmat * xt_new)
-                        + np.sum(xt_new * np.dot(gram, xt_new))) + penalty
-
-        restarted = restart > 0.0
-        rejected = (not np.isfinite(g_cand)) or g_cand > g_prev
+        restarted = np.vdot(x - xt_new, xt_new - xt) > 0.0
+        rejected = (not math.isfinite(g_cand)) or g_cand > g_prev
         if rejected and pure_step:
             # a momentum-free proximal step can only increase the objective
             # when the stepsize exceeds the inverse Lipschitz bound
@@ -112,18 +94,18 @@ def _fista_solve(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
             # the restart test is only a proxy for descent; when the
             # candidate proximal point increases the objective, drop it and
             # restart the momentum from the previous proximal point
-            x = xt.copy()
+            x = xt
             theta = 1.0
             g = g_prev
         elif restarted:
             theta = 1.0
             # X^{(m+1)} = X^{(m)}: keep x as is.
-            xt, xt_new = xt_new, xt
+            xt = xt_new
             g = g_cand
         else:
             theta = theta_new
             x = xt_new + omega * (xt_new - xt)
-            xt, xt_new = xt_new, xt
+            xt = xt_new
             g = g_cand
 
         trace[n_trace] = g
@@ -141,7 +123,7 @@ def _fista_solve(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
     return xt, trace, n_trace, status
 
 
-def _var_lag_path(coefs, innov):
+def var_lag_path(coefs, innov):
     """Iterate x_t = sum_h coefs[h-1] @ x_{t-h} + innov[t] from zero history.
 
     ``coefs`` has shape (L, d, d) and ``innov`` (nsteps, d); returns the
@@ -159,31 +141,6 @@ def _var_lag_path(coefs, innov):
     return out
 
 
-fista_solve_numpy = _fista_solve
-var_lag_path_numpy = _var_lag_path
-
-fista_solve_numba = None
-var_lag_path_numba = None
-USING_NUMBA = False
-
-if NUMBA_REQUESTED:
-    try:
-        import numba
-
-        fista_solve_numba = numba.njit(cache=True, nogil=True)(_fista_solve)
-        var_lag_path_numba = numba.njit(cache=True, nogil=True)(_var_lag_path)
-        USING_NUMBA = True
-    except ImportError:
-        pass
-
-if USING_NUMBA:
-    fista_solve = fista_solve_numba
-    var_lag_path = var_lag_path_numba
-else:
-    fista_solve = fista_solve_numpy
-    var_lag_path = var_lag_path_numpy
-
-
 def accel_backend() -> str:
-    """Name of the active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if USING_NUMBA else "numpy"
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,25 +202,43 @@ def read_price_csv(path):
 
     Returns (prices, tickers, dates) with days ordered by date and tickers by
     first appearance; missing (date, ticker, minute) combinations are an
-    error.
+    error.  Rows are parsed into flat typed arrays and scattered into the
+    panel at the end, so memory stays near that of the panel itself.
     """
-    cells: dict[tuple[str, str, int], float] = {}
-    tickers: list[str] = []
-    dates: set[str] = set()
-    max_minute = -1
+    dates: dict[str, int] = {}
+    tickers: dict[str, int] = {}
+    day_of, ticker_of, minutes = array("q"), array("q"), array("q")
+    values = array("d")
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            key = (rec["date"], rec["ticker"], int(rec["minute_index"]))
-            cells[key] = float(rec["price"])
-            if rec["ticker"] not in tickers:
-                tickers.append(rec["ticker"])
-            dates.add(rec["date"])
-            max_minute = max(max_minute, key[2])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        try:
+            c_date, c_tick, c_minute, c_price = (
+                header.index(c) for c in ("date", "ticker", "minute_index", "price"))
+        except ValueError:
+            raise DataError(f"{path}: need columns date, ticker, minute_index "
+                            f"and price, got {header}") from None
+        for line, rec in enumerate(reader, start=2):
+            try:
+                minute, price = int(rec[c_minute]), float(rec[c_price])
+            except (IndexError, ValueError):
+                raise DataError(f"{path}, line {line}: unparsable row {rec}") from None
+            day_of.append(dates.setdefault(rec[c_date], len(dates)))
+            ticker_of.append(tickers.setdefault(rec[c_tick], len(tickers)))
+            minutes.append(minute)
+            values.append(price)
+    if not values:
+        raise DataError(f"{path}: no price rows")
+    minute_idx = np.frombuffer(minutes, dtype=np.int64)
+    if minute_idx.min() < 0:
+        raise DataError(f"{path}: negative minute_index")
     days = sorted(dates)
-    T = max_minute + 1
-    prices = np.full((len(days), len(tickers), T), np.nan)
-    for (d, tick, s), v in cells.items():
-        prices[days.index(d), tickers.index(tick), s] = v
+    day_rank = np.empty(len(days), dtype=np.int64)
+    day_rank[[dates[d] for d in days]] = np.arange(len(days))
+    prices = np.full((len(days), len(tickers), int(minute_idx.max()) + 1), np.nan)
+    prices[day_rank[np.frombuffer(day_of, dtype=np.int64)],
+           np.frombuffer(ticker_of, dtype=np.int64),
+           minute_idx] = np.frombuffer(values, dtype=float)
     if np.isnan(prices).any():
         raise DataError("price panel has missing (date, ticker, minute) cells")
-    return prices, tickers, days
+    return prices, list(tickers), days

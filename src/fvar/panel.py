@@ -51,13 +51,14 @@ class CurvePanel:
 
     def to_csv(self, path) -> None:
         """Write long format with columns t, variable, grid_index, value."""
+        values = self.values.tolist()  # Python floats write as exact reprs
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "variable", "grid_index", "value"])
             for t in range(self.n):
                 for j, name in enumerate(self.ids):
-                    for s in range(self.grid.size):
-                        writer.writerow([t, name, s, repr(self.values[t, j, s])])
+                    writer.writerows([t, name, s, v]
+                                     for s, v in enumerate(values[t][j]))
 
     @classmethod
     def from_csv(cls, path, grid=None) -> "CurvePanel":
@@ -70,12 +71,23 @@ class CurvePanel:
         with open(path, newline="") as fh:
             for rec in csv.DictReader(fh):
                 name = rec["variable"]
-                t = int(rec["t"])
-                s = int(rec["grid_index"])
+                try:
+                    t = int(rec["t"])
+                    s = int(rec["grid_index"])
+                except ValueError:
+                    raise DataError(
+                        f"variable {name!r}: unparsable t {rec['t']!r} or "
+                        f"grid_index {rec['grid_index']!r}") from None
+                try:
+                    value = float(rec["value"])
+                except ValueError:
+                    raise DataError(
+                        f"unparsable value {rec['value']!r} for variable "
+                        f"{name!r} at t={t}, grid index {s}") from None
                 if name not in rows:
                     rows[name] = {}
                     order.append(name)
-                rows[name][(t, s)] = float(rec["value"])
+                rows[name][(t, s)] = value
                 max_t = max(max_t, t)
                 max_s = max(max_s, s)
         n, T = max_t + 1, max_s + 1

@@ -20,9 +20,12 @@ momentum whenever trace{(X - Xt_new)^T (Xt_new - Xt)} > 0.
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import _accel
 from .errors import ConfigError, NumericalError
@@ -41,6 +44,7 @@ class DesignSet:
     lagged: list               # [h-1][k] -> (n-L, q_k) scores at L+1-h..n-h
     standardizers: list        # [h-1][k] -> (q_k, q_k) symmetric PSD root
     standardizers_inv: list
+    unstandardize: np.ndarray  # (r, r) block diagonal of standardizers_inv
     design: np.ndarray         # (n-L, r) standardized stacked predictors
     offsets: np.ndarray        # (p*L + 1,) block row offsets
     gram: np.ndarray           # design^T design
@@ -62,17 +66,13 @@ class DesignSet:
     def n_blocks(self) -> int:
         return self.offsets.size - 1
 
-    def block(self, h: int, k: int) -> int:
-        """Flat block index of lag h (1-based), variable k."""
-        return (h - 1) * self.p + k
-
     def block_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
     def step_size(self) -> float:
-        """0.9 / lambda_max(design^T design), via power iteration."""
+        """0.9 / lambda_max(design^T design)."""
         if self._step is None:
-            self._step = 0.9 / _power_lambda_max(self.gram)
+            self._step = 0.9 / np.linalg.eigvalsh(self.gram)[-1]
         return self._step
 
 
@@ -82,7 +82,9 @@ class FitResult:
 
     j: int
     gamma: float
-    psi: list                  # [h-1][k] -> (q_k, q_j) un-standardized blocks
+    psi_stacked: np.ndarray    # (r, q_j) un-standardized blocks
+    offsets: np.ndarray        # block row offsets into psi_stacked
+    p: int
     coeffs_std: np.ndarray     # (r, q_j) standardized solution
     objective_trace: np.ndarray
     iterations: int
@@ -96,6 +98,13 @@ class FitResult:
     def active(self) -> np.ndarray:
         return self.vpsi_sq > 0
 
+    @property
+    def psi(self) -> list:
+        """``psi[h-1][k]`` is the (q_k, q_j) block Psi_jk^(h) of
+        ``psi_stacked``; see PsiLag."""
+        return [PsiLag(self.psi_stacked, self.offsets, h, self.p)
+                for h in range((len(self.offsets) - 1) // self.p)]
+
     def to_dict(self) -> dict:
         return {
             "j": self.j, "gamma": self.gamma,
@@ -105,21 +114,34 @@ class FitResult:
         }
 
 
-def _power_lambda_max(G: np.ndarray, tol: float = 1e-6, max_iter: int = 5000) -> float:
-    r = G.shape[0]
-    v = 1.0 + 1e-3 * np.arange(r)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        if abs(nrm - lam) <= tol * max(nrm, 1e-300):
-            return nrm
-        lam = nrm
-    return lam
+class PsiLag(Sequence):
+    """One lag of one row's psi, held as the row's stacked (r, q_j) array.
+
+    ``lag[k]`` is a copy of the (q_k, q_j) block of variable k, sliced from
+    the array on access; assigning ``lag[k]`` writes the block back into
+    it.  Only the array is referenced, not the fit that made it.
+    """
+
+    __slots__ = ("stacked", "offsets", "first", "p")
+
+    def __init__(self, stacked: np.ndarray, offsets: np.ndarray, h: int, p: int):
+        self.stacked, self.offsets, self.first, self.p = stacked, offsets, h * p, p
+
+    def __len__(self) -> int:
+        return self.p
+
+    def _rows(self, k) -> slice:
+        k = operator.index(k)
+        if not -self.p <= k < self.p:
+            raise IndexError("variable index out of range")
+        b = self.first + k % self.p
+        return slice(self.offsets[b], self.offsets[b + 1])
+
+    def __getitem__(self, k) -> np.ndarray:
+        return self.stacked[self._rows(k)].copy()
+
+    def __setitem__(self, k, value) -> None:
+        self.stacked[self._rows(k)] = value
 
 
 def _sym_root_pair(gram_block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,9 +189,12 @@ def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
     sizes = [c.shape[1] for c in cols]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     gram = design.T @ design
+    unstandardize = scipy.linalg.block_diag(*[Dinv for row in roots_inv
+                                              for Dinv in row])
     return DesignSet(n=n, L=L, responses=responses, lagged=lagged,
                      standardizers=roots, standardizers_inv=roots_inv,
-                     design=design, offsets=offsets, gram=gram)
+                     unstandardize=unstandardize, design=design,
+                     offsets=offsets, gram=gram)
 
 
 def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:
@@ -228,12 +253,16 @@ def block_fista(Y: np.ndarray, B_design: np.ndarray, gamma: float,
         raise ConfigError("response and design row counts differ")
     if offsets is None:
         offsets = np.array([0, B.shape[1]], dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if (offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0
+            or offsets[-1] != B.shape[1] or np.any(np.diff(offsets) < 1)):
+        raise ConfigError("block offsets must rise strictly from 0 to the "
+                          "number of design columns")
     gram = B.T @ B
     hmat = B.T @ Y
     if C_step is None:
-        C_step = 0.9 / _power_lambda_max(gram)
-    return block_fista_gram(gram, hmat, float(np.sum(Y * Y)),
-                            np.asarray(offsets, dtype=np.int64), gamma,
+        C_step = 0.9 / np.linalg.eigvalsh(gram)[-1]
+    return block_fista_gram(gram, hmat, float(np.sum(Y * Y)), offsets, gamma,
                             C_step, tol, max_iter, x0)
 
 
@@ -290,16 +319,8 @@ def fit_row(j: int, design: DesignSet, gamma: float, tol: float = 1e-8,
     n_eff = design.n_eff
     q_j = Y.shape[1]
 
-    psi, vpsi_sq = [], []
-    for h in range(1, design.L + 1):
-        row = []
-        for k in range(design.p):
-            b = design.block(h, k)
-            Xb = X[design.offsets[b]: design.offsets[b + 1]]
-            row.append(design.standardizers_inv[h - 1][k] @ Xb)
-            vpsi_sq.append(n_eff * float(np.sum(Xb * Xb)))
-        psi.append(row)
-    vpsi_sq = np.asarray(vpsi_sq)
+    psi = design.unstandardize @ X
+    vpsi_sq = n_eff * _accel.block_sq_norms(X, design.offsets[:-1])
 
     resid = Y - design.design @ X
     rss = float(np.sum(resid * resid))
@@ -307,7 +328,8 @@ def fit_row(j: int, design: DesignSet, gamma: float, tol: float = 1e-8,
     n_obs = n_eff * q_j
     aic = n_obs * np.log(max(rss, IC_FLOOR)) + 2.0 * df
     bic = n_obs * np.log(max(rss, IC_FLOOR)) + np.log(design.n) * df
-    return FitResult(j=j, gamma=gamma, psi=psi, coeffs_std=X,
+    return FitResult(j=j, gamma=gamma, psi_stacked=psi,
+                     offsets=design.offsets, p=design.p, coeffs_std=X,
                      objective_trace=info.objective_trace,
                      iterations=info.iterations, converged=info.converged,
                      rss=rss, vpsi_sq=vpsi_sq, df=df, aic=aic, bic=bic)
@@ -434,21 +456,23 @@ class KernelEstimate:
         return _kernel_estimate(int(obj["L"]), kl_models, psi)
 
 
+def _nested_norms(psi) -> np.ndarray:
+    """Frobenius norms of the blocks of a three-level nested psi."""
+    return np.array([[[np.linalg.norm(b) for b in inner] for inner in outer]
+                     for outer in psi])
+
+
 def _kernel_estimate(L: int, kl_models: list, psi: list) -> KernelEstimate:
-    p = len(kl_models)
-    hs = np.zeros((L, p, p))
-    for h in range(L):
-        for j in range(p):
-            for k in range(p):
-                hs[h, j, k] = np.linalg.norm(psi[h][j][k])
-    return KernelEstimate(L=L, kl_models=kl_models, psi=psi, hs=hs)
+    return KernelEstimate(L=L, kl_models=kl_models, psi=psi,
+                          hs=_nested_norms(psi))
 
 
 def recover_kernels(fits: list[FitResult], kl_models: list[KLModel]) -> KernelEstimate:
     """Assemble the functional estimates from the p row fits."""
     if len(fits) != len(kl_models):
         raise ConfigError("need one fit per variable")
-    by_j = sorted(fits, key=lambda f: f.j)
-    L = len(by_j[0].psi)
-    psi = [[by_j[j].psi[h] for j in range(len(by_j))] for h in range(L)]
-    return _kernel_estimate(L, kl_models, psi)
+    rows = [f.psi for f in sorted(fits, key=lambda f: f.j)]
+    L = len(rows[0])
+    psi = [[row[h] for row in rows] for h in range(L)]
+    return KernelEstimate(L=L, kl_models=kl_models, psi=psi,
+                          hs=_nested_norms(rows).transpose(1, 0, 2))

@@ -120,3 +120,68 @@ def lyapunov_series(C, N, terms=20000, tol=1e-16):
         if np.abs(term).max() < tol:
             break
     return S
+
+
+def fista_loop(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
+    """Restarted block FISTA written element by element, the form the
+    vectorized kernel replaced; same arguments and returns as
+    ``fvar._accel.fista_solve``."""
+    r, q = hmat.shape
+    nblocks = len(offsets) - 1
+    tau = gamma * step
+
+    def objective(xt, penalty):
+        fit = 0.0
+        for i in range(r):
+            for j in range(q):
+                fit += xt[i, j] * (np.dot(gram[i], xt[:, j]) - 2.0 * hmat[i, j])
+        return 0.5 * (ynorm_sq + fit) + penalty
+
+    x = x0.copy()
+    xt = x0.copy()
+    theta = 1.0
+    trace = [objective(xt, gamma * sum(
+        np.sqrt(sum(xt[i, j] ** 2 for i in range(offsets[k], offsets[k + 1])
+                    for j in range(q))) for k in range(nblocks)))]
+    status, skip_check, pure_step = 0, False, True
+    for _ in range(max_iter):
+        z = x - step * (gram @ x - hmat)
+        xt_new = np.zeros((r, q))
+        penalty = 0.0
+        for k in range(nblocks):
+            lo, hi = offsets[k], offsets[k + 1]
+            bn = np.sqrt(sum(z[i, j] ** 2 for i in range(lo, hi) for j in range(q)))
+            if bn > tau:
+                scale = 1.0 - tau / bn
+                for i in range(lo, hi):
+                    for j in range(q):
+                        xt_new[i, j] = scale * z[i, j]
+                penalty += gamma * scale * bn
+        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        omega = (theta - 1.0) / theta_new
+        restart = sum((x[i, j] - xt_new[i, j]) * (xt_new[i, j] - xt[i, j])
+                      for i in range(r) for j in range(q))
+        g_cand = objective(xt_new, penalty)
+        g_prev = trace[-1]
+        restarted = restart > 0.0
+        rejected = (not np.isfinite(g_cand)) or g_cand > g_prev
+        if rejected and pure_step:
+            trace.append(g_cand)
+            status = -1
+            break
+        pure_step = rejected
+        if rejected:
+            x, theta, g = xt.copy(), 1.0, g_prev
+        elif restarted:
+            theta, xt, g = 1.0, xt_new, g_cand
+        else:
+            theta = theta_new
+            x = xt_new + omega * (xt_new - xt)
+            xt, g = xt_new, g_cand
+        trace.append(g)
+        if (abs(g_prev - g) / max(abs(g_prev), 1e-12) < tol and not skip_check
+                and not restarted and not rejected):
+            status = 1
+            break
+        skip_check = restarted or rejected
+    return xt, np.asarray(trace), len(trace), status

@@ -1,49 +1,54 @@
-"""The numba and numpy kernel paths must agree."""
+"""The numpy kernels against plain-loop references."""
 
 import numpy as np
 import pytest
 
 from fvar import _accel
 
+from oracles import fista_loop
 
-def fista_inputs(seed=0):
+
+def fista_inputs(sizes, q, gamma_ratio, seed=0, n=40):
+    """Gram-form problem on blocks of the given row counts, at gamma a
+    fraction of the smallest gamma with an all-zero solution."""
     rng = np.random.default_rng(seed)
-    n, r, q = 40, 9, 2
+    r = sum(sizes)
     B = rng.standard_normal((n, r))
     Y = rng.standard_normal((n, q))
     gram = B.T @ B
     hmat = B.T @ Y
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    top = max(np.linalg.norm(hmat[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
     step = 0.9 / np.linalg.eigvalsh(gram)[-1]
-    offsets = np.array([0, 3, 6, 9], dtype=np.int64)
-    return (np.ascontiguousarray(gram), np.ascontiguousarray(hmat),
-            float(np.sum(Y * Y)), offsets, 1.5, step, 1e-12, 20000,
-            np.zeros((r, q)))
+    return (gram, hmat, float(np.sum(Y * Y)), offsets, gamma_ratio * top,
+            step, 1e-10, 20000, np.zeros((r, q)))
 
 
 class TestBackends:
     def test_backend_reported(self):
-        assert _accel.accel_backend() in ("numba", "numpy")
+        assert _accel.accel_backend() == "numpy"
 
-    @pytest.mark.skipif(_accel.fista_solve_numba is None,
-                        reason="numba unavailable")
-    def test_fista_paths_agree(self):
-        args = fista_inputs()
-        x_nb, tr_nb, n_nb, st_nb = _accel.fista_solve_numba(*args)
-        x_np, tr_np, n_np, st_np = _accel.fista_solve_numpy(*args)
-        assert st_nb == st_np
-        assert n_nb == n_np
-        np.testing.assert_allclose(x_nb, x_np, atol=1e-10)
-        np.testing.assert_allclose(tr_nb[:n_nb], tr_np[:n_np], atol=1e-8)
+    @pytest.mark.parametrize("sizes, q", [([3, 3, 3], 2), ([1, 3, 2, 1, 2, 3], 3),
+                                          ([2, 1, 1, 3], 1)])
+    @pytest.mark.parametrize("gamma_ratio", [0.0, 0.1, 0.5, 1.2])
+    def test_fista_matches_loop_reference(self, sizes, q, gamma_ratio):
+        args = fista_inputs(sizes, q, gamma_ratio, seed=len(sizes))
+        x, trace, n_trace, status = _accel.fista_solve(*args)
+        x_ref, trace_ref, n_ref, status_ref = fista_loop(*args)
+        assert (status, n_trace) == (status_ref, n_ref)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace[:n_trace], trace_ref, rtol=1e-12)
 
-    @pytest.mark.skipif(_accel.var_lag_path_numba is None,
-                        reason="numba unavailable")
-    def test_var_path_paths_agree(self):
-        rng = np.random.default_rng(1)
-        coefs = 0.2 * rng.standard_normal((2, 6, 6))
-        innov = rng.standard_normal((300, 6))
-        a = _accel.var_lag_path_numba(coefs, innov)
-        b = _accel.var_lag_path_numpy(coefs, innov)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    def test_fista_divergence_reported(self):
+        args = list(fista_inputs([2, 1, 3], 2, 0.0))
+        args[5] = 100.0  # far beyond 1 / lambda_max
+        assert _accel.fista_solve(*args)[3] == _accel.FISTA_DIVERGED
+
+    def test_block_sq_norms_unequal_blocks(self):
+        a = np.arange(12.0).reshape(6, 2)
+        got = _accel.block_sq_norms(a, np.array([0, 1, 4]))
+        want = [np.sum(a[0:1] ** 2), np.sum(a[1:4] ** 2), np.sum(a[4:6] ** 2)]
+        np.testing.assert_array_equal(got, want)
 
     def test_var_path_zero_coefficients(self):
         innov = np.random.default_rng(2).standard_normal((50, 4))

@@ -39,6 +39,36 @@ class TestSimulate:
         assert (out2 / "panel.csv").read_bytes() == \
             (sim_dir / "panel.csv").read_bytes()
 
+    def test_csv_round_trip_bit_exact(self, sim_dir):
+        from_csv = CurvePanel.from_csv(sim_dir / "panel.csv")
+        from_npz = CurvePanel.from_npz(sim_dir / "panel.npz")
+        assert from_csv.ids == from_npz.ids
+        np.testing.assert_array_equal(from_csv.values, from_npz.values)
+        np.testing.assert_array_equal(from_csv.grid, from_npz.grid)
+
+    def test_fit_reads_simulated_csv(self, sim_dir, tmp_path):
+        outs = {}
+        for name in ("panel.csv", "panel.npz"):
+            outs[name] = tmp_path / name
+            assert run("fit", "--panel", sim_dir / name, "--basis-dim", 8,
+                       "--q", 3, "--eta", 1e-4, "--n-gammas", 6, "--seed", 5,
+                       "--out", outs[name]) == 0
+        for result in ("kernels.json", "fits.json", "ic_table.csv"):
+            assert (outs["panel.csv"] / result).read_bytes() == \
+                (outs["panel.npz"] / result).read_bytes()
+
+    def test_unparsable_csv_value_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        CurvePanel(values=np.ones((4, 2, 3)), grid=np.linspace(0, 1, 3),
+                   ids=["a", "b"]).to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[1 + 2 * 6 + 3 + 2] = "2,b,2,oops"  # t=2, variable b, s=2
+        path.write_text("\n".join(lines) + "\n")
+        assert run("fit", "--panel", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "'oops'" in err and "'b'" in err and "t=2" in err
+        assert "grid index 2" in err
+
     def test_preset_desk(self, tmp_path):
         out = tmp_path / "desk"
         assert run("simulate", "--preset", "desk", "--seed", 1,
@@ -77,6 +107,11 @@ class TestFit:
         for f in fits:
             assert f["converged"]
             assert f["df"] >= 0
+
+    def test_ic_table_holds_plain_floats(self, fit_dir):
+        lines = (fit_dir / "ic_table.csv").read_text().splitlines()
+        for line in lines[1:]:
+            [float(cell) for cell in line.split(",")]
 
     def test_gamma_zero_matches_least_squares(self, sim_dir, tmp_path):
         out = tmp_path / "ls"

@@ -211,3 +211,31 @@ class TestPriceCsv:
                         "2017-01-03,AAA,0,10\n2017-01-03,AAA,2,11\n")
         with pytest.raises(DataError):
             read_price_csv(path)
+
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        cells = {(d, tick, s): 100 * i + 10 * j + s
+                 for i, d in enumerate(("2017-01-03", "2017-01-04", "2017-01-05"))
+                 for j, tick in enumerate(("BBB", "AAA")) for s in range(2)}
+        order = np.random.default_rng(3).permutation(len(cells))
+        keys = list(cells)
+        path.write_text("price,minute_index,ticker,date\n" + "".join(
+            f"{cells[keys[i]]},{keys[i][2]},{keys[i][1]},{keys[i][0]}\n"
+            for i in order))
+        prices, tickers, days = read_price_csv(path)
+        assert days == ["2017-01-03", "2017-01-04", "2017-01-05"]
+        first_ticker = keys[order[0]][1]
+        assert tickers[0] == first_ticker
+        for (d, tick, s), v in cells.items():
+            assert prices[days.index(d), tickers.index(tick), s] == v
+
+    @pytest.mark.parametrize("text, match", [
+        ("date,ticker,price\n2017-01-03,AAA,10\n", "minute_index"),
+        ("date,ticker,minute_index,price\n2017-01-03,AAA,0,ten\n", "line 2"),
+        ("date,ticker,minute_index,price\n", "no price rows"),
+    ])
+    def test_malformed_file_is_data_error(self, tmp_path, text, match):
+        path = tmp_path / "prices.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=match):
+            read_price_csv(path)

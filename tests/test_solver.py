@@ -6,7 +6,9 @@ import pytest
 from fvar.basis import BasisSpec, evaluate_basis
 from fvar.errors import ConfigError, NumericalError
 from fvar.fpca import KLModel, fit_regularized_fpca
-from fvar.solver import (block_fista, build_design, default_gamma_grid,
+from fvar.pipeline import sweep_path
+from fvar.solver import (KernelEstimate, block_fista, build_design,
+                         default_gamma_grid,
                          df_from_contributions, fit_row, gamma_max,
                          group_soft_threshold, information_criterion,
                          kkt_residuals, recover_kernels, regularization_path,
@@ -14,6 +16,17 @@ from fvar.solver import (block_fista, build_design, default_gamma_grid,
 from fvar.vfar import gen_block_banded, simulate_coefficients
 
 from helpers import kl_from_scores, oracle_design
+
+
+def mixed_block_design(sizes=(1, 3, 2, 1), L=2, n=90, seed=21):
+    """Design with score blocks of unequal widths q_k and L lags, so a
+    wrong block mapping in the solver cannot hide behind equal sizes."""
+    model = gen_block_banded(p=len(sizes), G=max(sizes), bandwidth=1,
+                             seed=seed, measurement_noise=0.0)
+    coeffs = simulate_coefficients(model, n, seed=seed)
+    kl = [kl_from_scores(coeffs[:, k, :q], BasisSpec("fourier", max(sizes)))
+          for k, q in enumerate(sizes)]
+    return build_design(kl, L)
 from oracles import block_coordinate_descent, group_objective
 
 
@@ -160,6 +173,11 @@ class TestBlockFista:
         assert active_a == active_b
         np.testing.assert_allclose(b.x, c * a.x, atol=1e-6)
 
+    @pytest.mark.parametrize("offsets", [[0, 3, 3, 9], [0, 4], [1, 9], [0, 6, 3, 9]])
+    def test_bad_offsets_rejected(self, offsets):
+        with pytest.raises(ConfigError, match="offsets"):
+            block_fista(self.Y, self.B, gamma=1.0, offsets=offsets)
+
     def test_divergent_step_raises(self):
         with pytest.raises(NumericalError):
             block_fista(self.Y, self.B, gamma=0.0, offsets=self.offs,
@@ -174,6 +192,81 @@ class TestBlockFista:
             zero_excess, active_res = kkt_residuals(design, fit)
             assert zero_excess <= 1e-4 * (1 + gamma)
             assert active_res <= 1e-4 * (1 + gamma)
+
+
+class TestMixedBlocks:
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    @pytest.mark.parametrize("ratio", [0.05, 0.3, 0.7])
+    def test_oracle_and_kkt_agreement(self, j, ratio):
+        design = mixed_block_design()
+        assert set(design.block_sizes()) == {1, 2, 3}
+        gamma = ratio * gamma_max(design, j)
+        fit = fit_row(j, design, gamma, tol=1e-14, max_iter=200000)
+        Y, B = design.responses[j], design.design
+        _, f_cd = block_coordinate_descent(Y, B, design.offsets, gamma,
+                                           tol=1e-12)
+        f_fista = group_objective(Y, B, fit.coeffs_std, design.offsets, gamma)
+        assert abs(f_fista - f_cd) <= 1e-6 * abs(f_cd)
+        zero_excess, active_res = kkt_residuals(design, fit)
+        assert zero_excess <= 1e-4 * (1 + gamma)
+        assert active_res <= 1e-4 * (1 + gamma)
+
+    def test_psi_blocks_shapes_and_values(self):
+        sizes = (1, 3, 2, 1)
+        design = mixed_block_design(sizes)
+        j = 1
+        fit = fit_row(j, design, 0.2 * gamma_max(design, j))
+        assert len(fit.psi) == design.L and len(fit.psi[0]) == design.p
+        for h in range(design.L):
+            for k in range(design.p):
+                block = fit.psi[h][k]
+                assert block.shape == (sizes[k], sizes[j])
+                b = h * design.p + k
+                Xb = fit.coeffs_std[design.offsets[b]: design.offsets[b + 1]]
+                np.testing.assert_allclose(
+                    block, design.standardizers_inv[h][k] @ Xb,
+                    rtol=0, atol=1e-12)
+        with pytest.raises(IndexError):
+            fit.psi[design.L]
+
+    def test_psi_block_assignment(self):
+        design = mixed_block_design()
+        fit = fit_row(0, design, 0.2 * gamma_max(design, 0))
+        est = recover_kernels(
+            [fit_row(j, design, 0.2 * gamma_max(design, j)) if j else fit
+             for j in range(design.p)],
+            [kl_from_scores(r, BasisSpec("fourier", 3))
+             for r in design.responses])
+        saved = fit.psi[1][2]
+        fit.psi[1][2] = 2.0 * saved + 1.0
+        np.testing.assert_array_equal(fit.psi[1][2], 2.0 * saved + 1.0)
+        np.testing.assert_array_equal(est.psi[1][0][2], 2.0 * saved + 1.0)
+        fit.psi[1][2] = saved
+        np.testing.assert_array_equal(fit.psi[1][2], saved)
+
+    def test_fit_and_kernel_serialization_exact(self):
+        design = mixed_block_design()
+        fits = [fit_row(j, design, 0.3 * gamma_max(design, j))
+                for j in range(design.p)]
+        for fit in fits:
+            d = fit.to_dict()
+            for h in range(design.L):
+                for k in range(design.p):
+                    np.testing.assert_array_equal(np.asarray(d["psi"][h][k]),
+                                                  fit.psi[h][k])
+        kl = [kl_from_scores(r, BasisSpec("fourier", 3))
+              for r in design.responses]
+        est = recover_kernels(fits, kl)
+        back = KernelEstimate.from_json(est.to_json())
+        np.testing.assert_array_equal(back.hs, est.hs)
+        for h in range(design.L):
+            for j in range(design.p):
+                assert est.hs[h, j].tolist() == [
+                    float(np.linalg.norm(fits[j].psi[h][k]))
+                    for k in range(design.p)]
+                for k in range(design.p):
+                    np.testing.assert_array_equal(back.psi[h][j][k],
+                                                  est.psi[h][j][k])
 
 
 class TestFitRowAndSelection:
@@ -278,6 +371,24 @@ class TestRegularizationPath:
         design, _ = oracle_design()
         with pytest.raises(ConfigError):
             regularization_path(design, 0, gamma_grid=[0.1, 0.5])
+
+
+class TestSweepPathThreads:
+    def test_output_independent_of_threads(self):
+        design = mixed_block_design(L=1)
+        kl = [kl_from_scores(r, BasisSpec("fourier", 3))
+              for r in design.responses]
+        runs = [sweep_path(design, kl, n_gammas=12, threads=t) for t in (1, 2)]
+        (paths1, est1), (paths2, est2) = runs
+        for row1, row2 in zip(paths1, paths2):
+            for f1, f2 in zip(row1, row2):
+                assert f1.gamma == f2.gamma
+                np.testing.assert_array_equal(f1.coeffs_std, f2.coeffs_std)
+                np.testing.assert_array_equal(f1.psi_stacked, f2.psi_stacked)
+                np.testing.assert_array_equal(f1.objective_trace,
+                                              f2.objective_trace)
+        for e1, e2 in zip(est1, est2):
+            np.testing.assert_array_equal(e1.hs, e2.hs)
 
 
 class TestRecoverKernels:
