@@ -10,7 +10,6 @@ surrogates, and a Monte Carlo harness for the estimator error rates.
 
 __version__ = "0.1.0"
 
-from ._accel import accel_backend
 from .basis import BasisSpec, GramPair, evaluate_basis, gram_matrices
 from .errors import (ConfigError, DataError, FvarError, NonstationaryError,
                      NumericalError)
@@ -24,8 +23,8 @@ from .network import (CausalGraph, EvalReport, cidr_transform, extract_network,
                       relative_error, roc_and_auroc)
 from .panel import CurvePanel
 from .pipeline import fit_vfar, fpca_panel, sweep_path, truncate_models
-from .solver import (DesignSet, FitResult, KernelEstimate, block_fista,
-                     build_design, degrees_of_freedom, fit_row,
+from .solver import (DesignSet, FitResult, KernelEstimate, accel_backend,
+                     block_fista_gram, build_design, fit_row,
                      group_soft_threshold, information_criterion,
                      recover_kernels, regularization_path, select_gamma)
 from .streams import rng_stream

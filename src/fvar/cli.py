@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._accel import accel_backend
 from .basis import BasisSpec
 from .errors import ConfigError, DataError, NumericalError
 from .harness import SCENARIOS, run_concentration
@@ -28,7 +27,7 @@ from .network import (cidr_transform, extract_network, read_price_csv,
                       relative_error, roc_and_auroc)
 from .panel import CurvePanel
 from .pipeline import fit_vfar, fpca_panel, sweep_path
-from .solver import KernelEstimate, build_design
+from .solver import KernelEstimate, accel_backend, build_design
 from .vfar import VFARModel, gen_block_banded, gen_block_sparse, simulate
 
 
@@ -87,10 +86,6 @@ def _load_model(path: str) -> VFARModel:
     return VFARModel.from_json(p.read_text())
 
 
-def _basis_from_args(args, default_dim: int) -> BasisSpec:
-    return BasisSpec(kind=args.basis, dimension=getattr(args, "basis_dim", default_dim))
-
-
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
@@ -130,33 +125,45 @@ def cmd_simulate(args) -> int:
 
 # --------------------------------------------------------------------- fit
 
+def _stage1_inputs(args) -> dict:
+    """Stage-1 arguments shared by fit, path and select: the panel, the
+    basis, the q and eta grids, folds, seed and thread count."""
+    return {
+        "panel": _load_panel(args.panel),
+        "basis": BasisSpec(kind=args.basis, dimension=args.basis_dim),
+        "q_grid": [args.q] if args.q else _ints(args.q_grid),
+        "eta_grid": [args.eta] if args.eta is not None else _floats(args.eta_grid),
+        "folds": args.folds, "seed": args.seed, "threads": args.threads,
+    }
+
+
 def _stage1_csv(out: Path, stage1) -> None:
     _write_csv(out / "fpca_selection.csv", ["variable", "q", "eta"],
                [(j, q, eta) for j, (q, eta) in enumerate(stage1.selections)])
 
 
-def cmd_fit(args) -> int:
+def _fit(args, gamma):
+    """The three-stage fit of fit and select, at a fixed gamma or, when
+    gamma is None, at the one selected by ``--ic``; writes
+    fpca_selection.csv and the ic_table.csv of the evaluated path points."""
     out = _outdir(args)
-    panel = _load_panel(args.panel)
-    basis = _basis_from_args(args, 15)
-    q_grid = [args.q] if args.q else _ints(args.q_grid)
-    eta_grid = [args.eta] if args.eta is not None else _floats(args.eta_grid)
     kernels, fits, stage1, ic_rows = fit_vfar(
-        panel, basis, L=args.L, q_grid=q_grid, eta_grid=eta_grid,
-        folds=args.folds, gamma=args.gamma, criterion=args.ic,
+        **_stage1_inputs(args), L=args.L, gamma=gamma, criterion=args.ic,
         n_gammas=args.n_gammas, min_ratio=args.min_gamma_ratio,
-        seed=args.seed, tol=args.tol, max_iter=args.max_iter,
-        threads=args.threads)
-
-    (out / "kernels.json").write_text(kernels.to_json())
-    (out / "fits.json").write_text(json.dumps([f.to_dict() for f in fits]))
+        tol=args.tol, max_iter=args.max_iter)
     _stage1_csv(out, stage1)
     if ic_rows:
         _write_csv(out / "ic_table.csv",
                    ["variable", "gamma", "rss", "df", "aic", "bic"], ic_rows)
-    hs = kernels.hs_norms()
+    return out, kernels, fits
+
+
+def cmd_fit(args) -> int:
+    out, kernels, fits = _fit(args, args.gamma)
+    (out / "kernels.json").write_text(kernels.to_json())
+    (out / "fits.json").write_text(json.dumps([f.to_dict() for f in fits]))
     _write_csv(out / "hs_norms.csv", ["lag", "target", "source", "hs_norm"],
-               [(h + 1, j, k, float(hs[h, j, k]))
+               [(h + 1, j, k, float(kernels.hs[h, j, k]))
                 for h in range(kernels.L)
                 for j in range(kernels.p) for k in range(kernels.p)])
     _write_manifest(args, out)
@@ -166,12 +173,7 @@ def cmd_fit(args) -> int:
 
 def cmd_path(args) -> int:
     out = _outdir(args)
-    panel = _load_panel(args.panel)
-    basis = _basis_from_args(args, 15)
-    q_grid = [args.q] if args.q else _ints(args.q_grid)
-    eta_grid = [args.eta] if args.eta is not None else _floats(args.eta_grid)
-    stage1 = fpca_panel(panel, basis, q_grid, eta_grid, folds=args.folds,
-                        seed=args.seed, threads=args.threads)
+    stage1 = fpca_panel(**_stage1_inputs(args))
     design = build_design(stage1.kl_models, args.L)
     paths, estimates = sweep_path(design, stage1.kl_models,
                                   n_gammas=args.n_gammas,
@@ -196,24 +198,11 @@ def cmd_path(args) -> int:
 
 
 def cmd_select(args) -> int:
-    out = _outdir(args)
-    panel = _load_panel(args.panel)
-    basis = _basis_from_args(args, 15)
-    q_grid = [args.q] if args.q else _ints(args.q_grid)
-    eta_grid = [args.eta] if args.eta is not None else _floats(args.eta_grid)
-    kernels, fits, stage1, ic_rows = fit_vfar(
-        panel, basis, L=args.L, q_grid=q_grid, eta_grid=eta_grid,
-        folds=args.folds, gamma=None, criterion=args.ic,
-        n_gammas=args.n_gammas, min_ratio=args.min_gamma_ratio,
-        seed=args.seed, tol=args.tol, max_iter=args.max_iter,
-        threads=args.threads)
-    _write_csv(out / "ic_table.csv",
-               ["variable", "gamma", "rss", "df", "aic", "bic"], ic_rows)
+    out, _, fits = _fit(args, None)
     selected = [{"variable": f.j, "gamma": f.gamma, "df": f.df,
                  "aic": f.aic, "bic": f.bic,
                  "active_blocks": int(f.active().sum())} for f in fits]
     (out / "selected.json").write_text(json.dumps(selected))
-    _stage1_csv(out, stage1)
     _write_manifest(args, out)
     print(f"selected gammas by {args.ic} for {len(fits)} rows; outputs in {out}")
     return 0

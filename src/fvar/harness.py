@@ -20,7 +20,7 @@ shows up as a slope near -1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,7 +136,6 @@ class Scenario:
     measurement_noise: float = 0.5
     degree: int = 5
     bandwidth: int = 2
-    extras: dict = field(default_factory=dict)
 
 
 SCENARIOS = {

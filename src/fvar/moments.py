@@ -131,11 +131,15 @@ def var1_spectral_density(C: np.ndarray, noise_cov: np.ndarray,
     A = I - C e^{-i theta}, equal to the two-sided autocovariance series.
     """
     C = np.asarray(C, dtype=float)
-    N = np.asarray(noise_cov, dtype=float)
     if spectral_radius_matrix(C) >= 1.0:
         raise NonstationaryError("spectral radius >= 1; no stationary solution")
-    d = C.shape[0]
-    A = np.eye(d) - C * np.exp(-1j * theta)
+    return _spectral_density(C, np.asarray(noise_cov, dtype=float), theta)
+
+
+def _spectral_density(C: np.ndarray, N: np.ndarray, theta: float) -> np.ndarray:
+    """The density formula of ``var1_spectral_density`` on float arrays,
+    without its stationarity check."""
+    A = np.eye(C.shape[0]) - C * np.exp(-1j * theta)
     Ainv = np.linalg.inv(A)
     f = Ainv @ N @ Ainv.conj().T / (2.0 * np.pi)
     return 0.5 * (f + f.conj().T)
@@ -155,7 +159,8 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
 
     When ``subset`` is given the process is restricted to those coordinates
     (the stability measure of the subprocess); the restriction applies to the
-    spectral density and the stationary covariance alike.
+    spectral density and the stationary covariance alike.  Stationarity is
+    checked once, by the stationary covariance.
     """
     if theta_grid_size < 64:
         raise ConfigError("theta grid size must be at least 64")
@@ -169,7 +174,7 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
     best = -np.inf
     best_theta = thetas[0]
     for theta in thetas:
-        f = var1_spectral_density(C, N, theta)[np.ix_(idx, idx)]
+        f = _spectral_density(C, N, theta)[np.ix_(idx, idx)]
         mat = 2.0 * np.pi * root @ f @ root
         lam = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[-1])
         if lam > best:

@@ -95,7 +95,7 @@ def extract_network(kernels: KernelEstimate, threshold: float | None = None,
     if (threshold is None) == (indegree is None):
         raise ConfigError("give exactly one of threshold or indegree")
     weights = kernels.edge_weights()
-    lag_w = kernels.hs_norms()
+    lag_w = kernels.hs
     p = weights.shape[0]
     nodes = list(labels) if labels is not None else [f"x{j}" for j in range(p)]
     if len(nodes) != p:
@@ -201,9 +201,10 @@ def read_price_csv(path):
     """Read long-format prices (date, ticker, minute_index, price).
 
     Returns (prices, tickers, dates) with days ordered by date and tickers by
-    first appearance; missing (date, ticker, minute) combinations are an
-    error.  Rows are parsed into flat typed arrays and scattered into the
-    panel at the end, so memory stays near that of the panel itself.
+    first appearance; missing or repeated (date, ticker, minute)
+    combinations are an error.  Rows are parsed into flat typed arrays and
+    scattered into the panel at the end, so memory stays near that of the
+    panel itself.
     """
     dates: dict[str, int] = {}
     tickers: dict[str, int] = {}
@@ -235,10 +236,22 @@ def read_price_csv(path):
     days = sorted(dates)
     day_rank = np.empty(len(days), dtype=np.int64)
     day_rank[[dates[d] for d in days]] = np.arange(len(days))
+    day_idx = day_rank[np.frombuffer(day_of, dtype=np.int64)]
+    tick_idx = np.frombuffer(ticker_of, dtype=np.int64)
     prices = np.full((len(days), len(tickers), int(minute_idx.max()) + 1), np.nan)
-    prices[day_rank[np.frombuffer(day_of, dtype=np.int64)],
-           np.frombuffer(ticker_of, dtype=np.int64),
-           minute_idx] = np.frombuffer(values, dtype=float)
-    if np.isnan(prices).any():
+    prices[day_idx, tick_idx, minute_idx] = np.frombuffer(values, dtype=float)
+    filled = prices.size - np.count_nonzero(np.isnan(prices))
+    if len(values) > filled:
+        # more rows than filled cells: a repeated key, or a NaN price
+        cells = np.ravel_multi_index((day_idx, tick_idx, minute_idx), prices.shape)
+        order = np.argsort(cells, kind="stable")
+        repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
+        if repeats.size:
+            row = int(repeats.min())
+            raise DataError(
+                f"{path}, line {row + 2}: duplicate row for date "
+                f"{days[day_idx[row]]}, ticker {list(tickers)[tick_idx[row]]}, "
+                f"minute {minute_idx[row]}")
+    if filled < prices.size:
         raise DataError("price panel has missing (date, ticker, minute) cells")
     return prices, list(tickers), days

@@ -63,7 +63,8 @@ class CurvePanel:
     @classmethod
     def from_csv(cls, path, grid=None) -> "CurvePanel":
         """Read the long format; the grid itself is not stored in the CSV,
-        so pass it explicitly or a uniform [0, 1] grid is assumed."""
+        so pass it explicitly or a uniform [0, 1] grid is assumed.  A
+        repeated (variable, t, grid_index) is a DataError."""
         rows: dict[str, dict[tuple[int, int], float]] = {}
         max_t = -1
         max_s = -1
@@ -87,6 +88,9 @@ class CurvePanel:
                 if name not in rows:
                     rows[name] = {}
                     order.append(name)
+                if (t, s) in rows[name]:
+                    raise DataError(f"duplicate row for variable {name!r} at "
+                                    f"t={t}, grid index {s}")
                 rows[name][(t, s)] = value
                 max_t = max(max_t, t)
                 max_s = max(max_s, s)

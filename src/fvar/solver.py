@@ -14,12 +14,18 @@ the factor sqrt(n - L) (raw = standardized / sqrt(n - L)).
 
 The solver is a restart-based block FISTA: gradient step, blockwise group
 soft-threshold, momentum extrapolation, and a restart that drops the
-momentum whenever trace{(X - Xt_new)^T (Xt_new - Xt)} > 0.
+momentum whenever trace{(X - Xt_new)^T (Xt_new - Xt)} > 0.  It is written
+once in numpy and works on whole arrays per iteration: block norms through
+``np.add.reduceat`` over the block offsets and the blockwise shrink factors
+spread back to rows with ``np.repeat``, so an iteration costs a few matrix
+products plus a fixed number of numpy calls, independent of the number of
+blocks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -27,24 +33,23 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from . import _accel
 from .errors import ConfigError, NumericalError
 from .fpca import KLModel
 
 IC_FLOOR = 1e-300
+# relative objective increase, on the scale of ||Y||_F^2, that a
+# momentum-free step may show at the optimum through rounding alone
+STALL_RTOL = 1e-12
 
 
 @dataclass
 class DesignSet:
-    """Lagged score matrices, standardizers and precomputed Gram data."""
+    """Responses, the standardized lagged design and precomputed Gram data."""
 
     n: int
     L: int
     responses: list            # j -> (n-L, q_j) scores at times L+1..n
-    lagged: list               # [h-1][k] -> (n-L, q_k) scores at L+1-h..n-h
-    standardizers: list        # [h-1][k] -> (q_k, q_k) symmetric PSD root
-    standardizers_inv: list
-    unstandardize: np.ndarray  # (r, r) block diagonal of standardizers_inv
+    unstandardize: np.ndarray  # (r, r) block diagonal of the D^{-1}
     design: np.ndarray         # (n-L, r) standardized stacked predictors
     offsets: np.ndarray        # (p*L + 1,) block row offsets
     gram: np.ndarray           # design^T design
@@ -144,17 +149,17 @@ class PsiLag(Sequence):
         self.stacked[self._rows(k)] = value
 
 
-def _sym_root_pair(gram_block: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _sym_inv_root(gram_block: np.ndarray, k: int) -> np.ndarray:
     sym = 0.5 * (gram_block + gram_block.T)
     w, V = np.linalg.eigh(sym)
     if w.min() <= 1e-12 * max(w.max(), 1.0):
         raise NumericalError(
             f"score Gram of variable {k} is singular; use a smaller q for it")
-    return (V * np.sqrt(w)) @ V.T, (V * (w ** -0.5)) @ V.T
+    return (V * (w ** -0.5)) @ V.T
 
 
 def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
-    """Assemble lagged score matrices and their standardizers.
+    """Assemble the standardized lagged design.
 
     Row i (0-based) of the lag-h block of variable k holds the scores at time
     L + i - h, so the response rows (lag 0) align with times L+1..n.
@@ -167,34 +172,22 @@ def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
     if n <= L:
         raise ConfigError(f"need more than L={L} observations, got {n}")
 
-    p = len(kl_models)
     scores = [m.scores for m in kl_models]
-    responses = [s[L:] for s in scores]
-    lagged, roots, roots_inv, cols = [], [], [], []
     n_eff = n - L
+    roots_inv, cols = [], []
     for h in range(1, L + 1):
-        row_l, row_r, row_ri = [], [], []
-        for k in range(p):
-            V = scores[k][L - h: n - h]
-            D, Dinv = _sym_root_pair(V.T @ V / n_eff, k)
-            row_l.append(V)
-            row_r.append(D)
-            row_ri.append(Dinv)
+        for k, s in enumerate(scores):
+            V = s[L - h: n - h]
+            Dinv = _sym_inv_root(V.T @ V / n_eff, k)
+            roots_inv.append(Dinv)
             cols.append(V @ Dinv)
-        lagged.append(row_l)
-        roots.append(row_r)
-        roots_inv.append(row_ri)
 
     design = np.concatenate(cols, axis=1)
     sizes = [c.shape[1] for c in cols]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    gram = design.T @ design
-    unstandardize = scipy.linalg.block_diag(*[Dinv for row in roots_inv
-                                              for Dinv in row])
-    return DesignSet(n=n, L=L, responses=responses, lagged=lagged,
-                     standardizers=roots, standardizers_inv=roots_inv,
-                     unstandardize=unstandardize, design=design,
-                     offsets=offsets, gram=gram)
+    return DesignSet(n=n, L=L, responses=[s[L:] for s in scores],
+                     unstandardize=scipy.linalg.block_diag(*roots_inv),
+                     design=design, offsets=offsets, gram=design.T @ design)
 
 
 def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:
@@ -213,6 +206,19 @@ def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:
     return out
 
 
+def block_sq_norms(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each row block of the 2-d array ``a``;
+    block k starts at row ``starts[k]`` and ends where the next one starts.
+    Every block must be nonempty: ``reduceat`` reads an empty one as the
+    single row at its start."""
+    return np.add.reduceat(np.einsum("ij,ij->i", a, a), starts)
+
+
+def accel_backend() -> str:
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
+
+
 @dataclass
 class SolveInfo:
     x: np.ndarray
@@ -225,45 +231,112 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq: float,
                      offsets: np.ndarray, gamma: float, step: float,
                      tol: float = 1e-8, max_iter: int = 10000,
                      x0: np.ndarray | None = None) -> SolveInfo:
-    """Run the FISTA kernel on precomputed Gram data."""
+    """Minimize 0.5*||Y - B X||_F^2 + gamma * sum_k ||X_k||_F blockwise.
+
+    Works on the Gram form: ``gram = B.T @ B``, ``hmat = B.T @ Y`` and
+    ``ynorm_sq = ||Y||_F^2``, so the data matrix itself is never touched
+    inside the iteration.  ``offsets`` delimits the row blocks of X and
+    must rise strictly from 0 to the row count of ``hmat``.
+
+    Per iteration: gradient step from the extrapolated point, blockwise
+    group soft-threshold with threshold gamma*step, momentum update
+    theta -> (1 + sqrt(1 + 4 theta^2))/2, extrapolation, and a restart
+    whenever trace{(X - Xt_new)^T (Xt_new - Xt)} > 0, in which case the
+    accumulated momentum is dropped (X kept at the previous iterate,
+    theta reset to 1).  It stops when the relative objective change falls
+    below ``tol`` or when a momentum-free step cannot lower the objective
+    beyond rounding; a momentum-free step that raises it materially means
+    the step size exceeds the inverse Lipschitz bound and raises
+    NumericalError.
+
+    ``objective_trace`` holds the objective at each proximal point, entry 0
+    at ``x0``.
+    """
     if gamma < 0:
         raise ConfigError("gamma must be nonnegative")
-    if x0 is None:
-        x0 = np.zeros_like(hmat)
-    x, trace, n_trace, status = _accel.fista_solve(
-        np.ascontiguousarray(gram), np.ascontiguousarray(hmat),
-        float(ynorm_sq), np.ascontiguousarray(offsets, dtype=np.int64),
-        float(gamma), float(step), float(tol), int(max_iter),
-        np.ascontiguousarray(x0, dtype=float))
-    if status == _accel.FISTA_DIVERGED:
-        raise NumericalError("objective diverged; step size too large")
-    return SolveInfo(x=x, objective_trace=np.array(trace[:n_trace]),
-                     iterations=n_trace - 1,
-                     converged=status == _accel.FISTA_CONVERGED)
-
-
-def block_fista(Y: np.ndarray, B_design: np.ndarray, gamma: float,
-                C_step: float | None = None, tol: float = 1e-8,
-                max_iter: int = 10000, offsets=None,
-                x0: np.ndarray | None = None) -> SolveInfo:
-    """Solve min_X 0.5||Y - B X||_F^2 + gamma sum_k ||X_k||_F."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    B = np.asarray(B_design, dtype=float)
-    if Y.shape[0] != B.shape[0]:
-        raise ConfigError("response and design row counts differ")
-    if offsets is None:
-        offsets = np.array([0, B.shape[1]], dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     if (offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0
-            or offsets[-1] != B.shape[1] or np.any(np.diff(offsets) < 1)):
+            or offsets[-1] != hmat.shape[0] or np.any(np.diff(offsets) < 1)):
         raise ConfigError("block offsets must rise strictly from 0 to the "
                           "number of design columns")
-    gram = B.T @ B
-    hmat = B.T @ Y
-    if C_step is None:
-        C_step = 0.9 / np.linalg.eigvalsh(gram)[-1]
-    return block_fista_gram(gram, hmat, float(np.sum(Y * Y)), offsets, gamma,
-                            C_step, tol, max_iter, x0)
+    starts = offsets[:-1]
+    sizes = np.diff(offsets)
+    tau = gamma * step
+    # z blocks at or below tau shrink to zero: 1 - tau/max(norm, tau) = 0;
+    # with tau = 0 nothing shrinks and the floor only keeps 0/0 out
+    floor = tau if tau > 0.0 else 1.0
+
+    def objective(xt, penalty):
+        return 0.5 * (ynorm_sq - 2.0 * np.vdot(hmat, xt)
+                      + np.vdot(xt, gram @ xt)) + penalty
+
+    # no array is updated in place below, so x and xt may share storage
+    xt = np.zeros_like(hmat) if x0 is None else np.array(x0, dtype=float)
+    x = xt                 # extrapolated iterate X^{(m)}; xt is Xt^{(m)}
+    theta = 1.0
+
+    trace = np.empty(max_iter + 1)
+    g_prev = objective(xt, gamma * np.sum(np.sqrt(block_sq_norms(xt, starts))))
+    trace[0] = g_prev
+    n_trace = 1
+    converged = False
+    skip_check = False
+    pure_step = True  # x holds the last proximal point, no momentum mixed in
+
+    for _ in range(max_iter):
+        z = x - step * (gram @ x - hmat)
+        zn = np.sqrt(block_sq_norms(z, starts))
+        scale = 1.0 - tau / np.maximum(zn, floor)
+        xt_new = z * np.repeat(scale, sizes)[:, None]
+        g_cand = objective(xt_new, gamma * np.vdot(scale, zn))
+
+        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        omega = (theta - 1.0) / theta_new
+        restarted = np.vdot(x - xt_new, xt_new - xt) > 0.0
+        rejected = (not math.isfinite(g_cand)) or g_cand > g_prev
+        if rejected and pure_step:
+            # a momentum-free proximal step can only increase the objective
+            # when the stepsize exceeds the inverse Lipschitz bound, or by
+            # rounding at a fixed point of the proximal map
+            if not g_cand - g_prev <= STALL_RTOL * max(ynorm_sq, abs(g_prev)):
+                raise NumericalError("objective diverged; step size too large")
+            trace[n_trace] = g_prev
+            n_trace += 1
+            converged = True
+            break
+        pure_step = rejected
+        if rejected:
+            # the restart test is only a proxy for descent; when the
+            # candidate proximal point increases the objective, drop it and
+            # restart the momentum from the previous proximal point
+            x = xt
+            theta = 1.0
+            g = g_prev
+        elif restarted:
+            theta = 1.0
+            # X^{(m+1)} = X^{(m)}: keep x as is.
+            xt = xt_new
+            g = g_cand
+        else:
+            theta = theta_new
+            x = xt_new + omega * (xt_new - xt)
+            xt = xt_new
+            g = g_cand
+
+        trace[n_trace] = g
+        n_trace += 1
+
+        rel = abs(g_prev - g) / max(abs(g_prev), 1e-12)
+        g_prev = g
+        # restarts re-derive the previous proximal point on the next pass,
+        # so their zero objective change carries no convergence signal
+        if rel < tol and not skip_check and not restarted and not rejected:
+            converged = True
+            break
+        skip_check = restarted or rejected
+
+    return SolveInfo(x=xt, objective_trace=trace[:n_trace].copy(),
+                     iterations=n_trace - 1, converged=converged)
 
 
 def df_from_contributions(vpsi_sq: np.ndarray, group_sizes: np.ndarray,
@@ -280,24 +353,12 @@ def df_from_contributions(vpsi_sq: np.ndarray, group_sizes: np.ndarray,
     return df
 
 
-def degrees_of_freedom(design: DesignSet, fit: "FitResult", gamma: float) -> float:
-    """df of an existing fit at an arbitrary penalty level gamma."""
-    q_j = design.responses[fit.j].shape[1]
-    sizes = design.block_sizes() * q_j
-    return df_from_contributions(fit.vpsi_sq, sizes, gamma)
-
-
-def observation_count(design: DesignSet, j: int) -> int:
-    """Scalar observations in row j's regression: (n - L) * q_j."""
-    return design.n_eff * design.responses[j].shape[1]
-
-
 def information_criterion(design: DesignSet, fit: "FitResult",
                           kappa: float) -> float:
-    """N log(RSS) + kappa * df with N the scalar observation count of the
-    row regression and the RSS floored away from zero."""
-    return (observation_count(design, fit.j) * np.log(max(fit.rss, IC_FLOOR))
-            + kappa * fit.df)
+    """N log(RSS) + kappa * df with N = (n - L) * q_j the scalar observation
+    count of the row regression and the RSS floored away from zero."""
+    n_obs = design.n_eff * design.responses[fit.j].shape[1]
+    return n_obs * np.log(max(fit.rss, IC_FLOOR)) + kappa * fit.df
 
 
 def fit_row(j: int, design: DesignSet, gamma: float, tol: float = 1e-8,
@@ -316,32 +377,29 @@ def fit_row(j: int, design: DesignSet, gamma: float, tol: float = 1e-8,
                             design.offsets, gamma, design.step_size(),
                             tol, max_iter, x0)
     X = info.x
-    n_eff = design.n_eff
-    q_j = Y.shape[1]
-
-    psi = design.unstandardize @ X
-    vpsi_sq = n_eff * _accel.block_sq_norms(X, design.offsets[:-1])
-
     resid = Y - design.design @ X
-    rss = float(np.sum(resid * resid))
-    df = df_from_contributions(vpsi_sq, design.block_sizes() * q_j, gamma)
-    n_obs = n_eff * q_j
-    aic = n_obs * np.log(max(rss, IC_FLOOR)) + 2.0 * df
-    bic = n_obs * np.log(max(rss, IC_FLOOR)) + np.log(design.n) * df
-    return FitResult(j=j, gamma=gamma, psi_stacked=psi,
-                     offsets=design.offsets, p=design.p, coeffs_std=X,
-                     objective_trace=info.objective_trace,
-                     iterations=info.iterations, converged=info.converged,
-                     rss=rss, vpsi_sq=vpsi_sq, df=df, aic=aic, bic=bic)
+    vpsi_sq = design.n_eff * block_sq_norms(X, design.offsets[:-1])
+    fit = FitResult(j=j, gamma=gamma, psi_stacked=design.unstandardize @ X,
+                    offsets=design.offsets, p=design.p, coeffs_std=X,
+                    objective_trace=info.objective_trace,
+                    iterations=info.iterations, converged=info.converged,
+                    rss=float(np.sum(resid * resid)), vpsi_sq=vpsi_sq,
+                    df=df_from_contributions(
+                        vpsi_sq, design.block_sizes() * Y.shape[1], gamma),
+                    aic=0.0, bic=0.0)
+    fit.aic = information_criterion(design, fit, 2.0)
+    fit.bic = information_criterion(design, fit, np.log(design.n))
+    return fit
 
 
 def gamma_max(design: DesignSet, j: int) -> float:
     """Smallest gamma at which the all-zero solution is optimal (padded by a
     1e-10 relative margin so the boundary survives floating-point rounding)."""
     hmat = design.design.T @ design.responses[j]
-    top = max(
-        float(np.linalg.norm(hmat[design.offsets[k]: design.offsets[k + 1]]))
-        for k in range(design.n_blocks))
+    k = int(np.argmax(block_sq_norms(hmat, design.offsets[:-1])))
+    # the winning block's norm comes from np.linalg.norm, whose rounding
+    # fixes the last bit of every gamma grid and so of every path fit
+    top = float(np.linalg.norm(hmat[design.offsets[k]: design.offsets[k + 1]]))
     return top * (1.0 + 1e-10)
 
 
@@ -393,19 +451,17 @@ def kkt_residuals(design: DesignSet, fit: FitResult) -> tuple[float, float]:
     stationarity norm ||grad_k + gamma X_k / ||X_k|| ||).
     """
     X = fit.coeffs_std
+    starts = design.offsets[:-1]
+    x_norm = np.sqrt(block_sq_norms(X, starts))
+    active = x_norm > 0.0
+    # gamma / ||X_k|| on active blocks, 0 on zero blocks, whose residual
+    # is then the plain gradient norm
+    pull = np.divide(fit.gamma, x_norm, out=np.zeros_like(x_norm), where=active)
     grad = design.gram @ X - design.design.T @ design.responses[fit.j]
-    zero_excess = 0.0
-    active_res = 0.0
-    for k in range(design.n_blocks):
-        gb = grad[design.offsets[k]: design.offsets[k + 1]]
-        xb = X[design.offsets[k]: design.offsets[k + 1]]
-        nx = np.linalg.norm(xb)
-        if nx == 0.0:
-            zero_excess = max(zero_excess, np.linalg.norm(gb) - fit.gamma)
-        else:
-            active_res = max(active_res,
-                             float(np.linalg.norm(gb + fit.gamma * xb / nx)))
-    return zero_excess, active_res
+    res = np.sqrt(block_sq_norms(
+        grad + np.repeat(pull, design.block_sizes())[:, None] * X, starts))
+    zero_excess = max(0.0, float(np.max(res[~active], initial=0.0)) - fit.gamma)
+    return zero_excess, float(np.max(res[active], initial=0.0))
 
 
 @dataclass
@@ -429,9 +485,6 @@ class KernelEstimate:
         phi_j = self.kl_models[j].eigenfunctions(u)
         phi_k = self.kl_models[k].eigenfunctions(v)
         return phi_j @ self.psi[h - 1][j][k].T @ phi_k.T
-
-    def hs_norms(self) -> np.ndarray:
-        return self.hs
 
     def support(self) -> np.ndarray:
         return (self.hs > 0).any(axis=0)

@@ -1,5 +1,6 @@
 """Vector functional autoregressive models: representation, random model
-generators, simulation, and the lag-1 companion embedding.
+generators, simulation by the lagged VAR recursion, and the lag-1 companion
+embedding.
 
 A model of lag L over p functional variables stores G x G coefficient blocks
 B_jk^(h) in a fixed basis s, so the transition kernels are
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import var_lag_path
 from .basis import BasisSpec, evaluate_basis
 from .errors import ConfigError, NonstationaryError
 from .moments import spectral_radius_matrix as spectral_radius
@@ -169,6 +169,24 @@ def gen_block_banded(p: int, G: int = 5, bandwidth: int = 2, seed: int = 0,
                            "iota": iota, "seed": seed})
 
 
+def var_lag_path(coefs: np.ndarray, innov: np.ndarray) -> np.ndarray:
+    """Iterate x_t = sum_h coefs[h-1] @ x_{t-h} + innov[t] from zero history.
+
+    ``coefs`` has shape (L, d, d) and ``innov`` (nsteps, d); returns the
+    (nsteps, d) path.
+    """
+    nsteps, d = innov.shape
+    nlags = coefs.shape[0]
+    out = np.zeros((nsteps, d))
+    for t in range(nsteps):
+        acc = innov[t].copy()
+        for h in range(1, nlags + 1):
+            if t - h >= 0:
+                acc = acc + np.dot(coefs[h - 1], out[t - h])
+        out[t] = acc
+    return out
+
+
 def simulate_coefficients(model: VFARModel, n: int, burn_in: int = DEFAULT_BURN_IN,
                           seed: int = 0, stream: int = 0) -> np.ndarray:
     """Coefficient panel (n, p, G) of the stationary path after burn-in.
@@ -187,7 +205,7 @@ def simulate_coefficients(model: VFARModel, n: int, burn_in: int = DEFAULT_BURN_
     rng = rng_stream(seed, stream)
     innov = np.zeros((steps, p * G))
     innov[:, : noise_p * G] = model.noise_scale * rng.standard_normal((steps, noise_p * G))
-    path = var_lag_path(np.ascontiguousarray(model.lag_matrices()), innov)
+    path = var_lag_path(model.lag_matrices(), innov)
     return path[burn_in:].reshape(n, p, G)
 
 

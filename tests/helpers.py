@@ -29,3 +29,9 @@ def oracle_design(p=3, q=2, n=50, seed=7, rho=0.5):
     kl = [kl_from_scores(coeffs[:, j, :], BasisSpec("fourier", q))
           for j in range(p)]
     return build_design(kl, 1), model
+
+
+def raw_predictors(design):
+    """The lagged scores behind ``design.design``, un-standardized: column
+    block (h-1)*p + k holds variable k's scores at times L+1-h..n-h."""
+    return design.design @ np.linalg.inv(design.unstandardize)

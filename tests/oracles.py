@@ -123,9 +123,15 @@ def lyapunov_series(C, N, terms=20000, tol=1e-16):
 
 
 def fista_loop(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
-    """Restarted block FISTA written element by element, the form the
-    vectorized kernel replaced; same arguments and returns as
-    ``fvar._accel.fista_solve``."""
+    """Restarted block FISTA written element by element, with the arguments
+    of ``fvar.solver.block_fista_gram``.
+
+    Returns ``(x, trace, n_trace, status)``: the objective at each proximal
+    point (entry 0 at ``x0``), its length, and status 1 when converged, 0 at
+    the iteration cap, -1 when a momentum-free step raised the objective by
+    more than rounding (1e-12 relative to max(||Y||^2, objective)).  A
+    rise within rounding is a stall at the optimum and counts as converged.
+    """
     r, q = hmat.shape
     nblocks = len(offsets) - 1
     tau = gamma * step
@@ -166,8 +172,12 @@ def fista_loop(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
         restarted = restart > 0.0
         rejected = (not np.isfinite(g_cand)) or g_cand > g_prev
         if rejected and pure_step:
-            trace.append(g_cand)
-            status = -1
+            if g_cand - g_prev <= 1e-12 * max(ynorm_sq, abs(g_prev)):
+                trace.append(g_prev)
+                status = 1
+            else:
+                trace.append(g_cand)
+                status = -1
             break
         pure_step = rejected
         if rejected:
@@ -185,3 +195,19 @@ def fista_loop(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
             break
         skip_check = restarted or rejected
     return xt, np.asarray(trace), len(trace), status
+
+
+def kkt_loop(gram, hmat, X, offsets, gamma):
+    """Group-lasso KKT residuals block by block: the worst zero-block excess
+    max(0, ||g_k|| - gamma) and the worst active-block norm
+    ||g_k + gamma X_k / ||X_k|| ||, with g = gram @ X - hmat."""
+    grad = gram @ X - hmat
+    zero_excess, active_res = 0.0, 0.0
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        gb, xb = grad[lo:hi], X[lo:hi]
+        nx = np.linalg.norm(xb)
+        if nx == 0.0:
+            zero_excess = max(zero_excess, np.linalg.norm(gb) - gamma)
+        else:
+            active_res = max(active_res, np.linalg.norm(gb + gamma * xb / nx))
+    return zero_excess, active_res

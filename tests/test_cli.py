@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from fvar.basis import BasisSpec
 from fvar.cli import main
 from fvar.panel import CurvePanel
-from fvar.solver import KernelEstimate
+from fvar.pipeline import fpca_panel
+from fvar.solver import KernelEstimate, build_design, fit_row, kkt_residuals
 
 
 def run(*argv):
@@ -67,6 +69,17 @@ class TestSimulate:
         assert run("fit", "--panel", path, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert "'oops'" in err and "'b'" in err and "t=2" in err
+        assert "grid index 2" in err
+
+    def test_duplicate_csv_key_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        CurvePanel(values=np.ones((4, 2, 3)), grid=np.linspace(0, 1, 3),
+                   ids=["a", "b"]).to_csv(path)
+        with open(path, "a") as fh:
+            fh.write("1,a,2,5.0\n")
+        assert run("fit", "--panel", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "duplicate" in err and "'a'" in err and "t=1" in err
         assert "grid index 2" in err
 
     def test_preset_desk(self, tmp_path):
@@ -150,6 +163,26 @@ class TestFit:
         assert run("fit", "--panel", tmp_path / "nope.npz",
                    "--out", tmp_path) == 2
 
+    def test_stall_at_optimum_converges(self, tmp_path):
+        # with --tol 0 the only exit is a momentum-free step whose objective
+        # rises by rounding alone: converged, not diverged
+        sim = tmp_path / "sim"
+        assert run("simulate", "--n", 60, "--p", 3, "--grid-size", 20,
+                   "--basis-dim", 4, "--seed", 1, "--out", sim) == 0
+        out = tmp_path / "fit"
+        assert run("fit", "--panel", sim / "panel.npz", "--basis-dim", 8,
+                   "--q", 3, "--eta", 0, "--gamma", 1.0, "--tol", 0,
+                   "--out", out) == 0
+        fits = json.loads((out / "fits.json").read_text())
+        assert all(f["converged"] for f in fits)
+        stage1 = fpca_panel(CurvePanel.from_npz(sim / "panel.npz"),
+                            BasisSpec("bspline", 8), [3], [0.0])
+        design = build_design(stage1.kl_models, 1)
+        for j, f in enumerate(fits):
+            fit = fit_row(j, design, 1.0, tol=0.0)
+            assert fit.iterations == f["iterations"]
+            assert max(kkt_residuals(design, fit)) <= 1e-6 * (1 + 1.0)
+
     def test_degenerate_variable_is_numerical_error(self, tmp_path):
         rng = np.random.default_rng(0)
         values = rng.standard_normal((30, 2, 12))
@@ -184,6 +217,17 @@ class TestPathAndSelect:
         table = (out / "ic_table.csv").read_text().splitlines()
         assert table[0] == "variable,gamma,rss,df,aic,bic"
         assert len(table) == 1 + 3 * 10
+
+
+    def test_fit_and_select_share_stage_outputs(self, sim_dir, tmp_path):
+        flags = ("--panel", sim_dir / "panel.npz", "--basis-dim", 8,
+                 "--q-grid", "2,3", "--eta-grid", "0,1e-4", "--folds", 3,
+                 "--n-gammas", 6, "--seed", 5)
+        assert run("fit", *flags, "--out", tmp_path / "fit") == 0
+        assert run("select", *flags, "--out", tmp_path / "select") == 0
+        for name in ("ic_table.csv", "fpca_selection.csv"):
+            assert (tmp_path / "fit" / name).read_bytes() == \
+                (tmp_path / "select" / name).read_bytes()
 
 
 class TestNetwork:
@@ -246,6 +290,16 @@ class TestIngestCidr:
         assert panel.values.shape == (3, 2, 6)
         np.testing.assert_allclose(panel.values[:, :, 0], 0.0, atol=1e-12)
         assert panel.ids == ["AAA", "BBB"]
+
+
+    def test_duplicate_price_key_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "prices.csv"
+        src.write_text("date,ticker,minute_index,price\n"
+                       "2017-01-03,AAA,0,10\n2017-01-03,AAA,1,11\n"
+                       "2017-01-03,AAA,0,12\n")
+        assert run("ingest-cidr", "--prices", src,
+                   "--out", tmp_path / "cidr") == 2
+        assert "duplicate" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -173,6 +173,13 @@ class TestStabilityMeasure:
         rep = stability_measure_var1(np.zeros((2, 2)), np.diag([2.0, 0.5]), 128)
         assert rep.value == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.5, 0.9])
+    def test_scalar_ar1_closed_form(self, a):
+        # an odd grid holds theta = 0 and +-pi, where the maximum sits
+        rep = stability_measure_var1(np.array([[a]]), np.eye(1), 1025)
+        assert rep.value == pytest.approx((1 + abs(a)) / (1 - abs(a)),
+                                          rel=1e-10)
+
     def test_monotone_in_a_and_b(self):
         a_grid = [0.2, 0.5, 0.8]
         b_grid = [0.0, 0.5, 1.0]

@@ -212,6 +212,23 @@ class TestPriceCsv:
         with pytest.raises(DataError):
             read_price_csv(path)
 
+    def test_duplicate_key_named(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,ticker,minute_index,price\n"
+                        "2017-01-03,AAA,0,10\n2017-01-03,BBB,0,20\n"
+                        "2017-01-03,AAA,1,11\n2017-01-03,BBB,1,21\n"
+                        "2017-01-03,BBB,0,22\n2017-01-03,AAA,1,12\n")
+        with pytest.raises(DataError, match="line 6: duplicate row for date "
+                           "2017-01-03, ticker BBB, minute 0"):
+            read_price_csv(path)
+
+    def test_nan_price_is_missing_not_duplicate(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,ticker,minute_index,price\n"
+                        "2017-01-03,AAA,0,10\n2017-01-03,AAA,1,nan\n")
+        with pytest.raises(DataError, match="missing"):
+            read_price_csv(path)
+
     def test_rows_in_any_order(self, tmp_path):
         path = tmp_path / "prices.csv"
         cells = {(d, tick, s): 100 * i + 10 * j + s

@@ -7,7 +7,7 @@ from fvar.basis import BasisSpec, evaluate_basis
 from fvar.errors import ConfigError, NumericalError
 from fvar.fpca import KLModel, fit_regularized_fpca
 from fvar.pipeline import sweep_path
-from fvar.solver import (KernelEstimate, block_fista, build_design,
+from fvar.solver import (KernelEstimate, block_fista_gram, build_design,
                          default_gamma_grid,
                          df_from_contributions, fit_row, gamma_max,
                          group_soft_threshold, information_criterion,
@@ -15,7 +15,18 @@ from fvar.solver import (KernelEstimate, block_fista, build_design,
                          select_gamma)
 from fvar.vfar import gen_block_banded, simulate_coefficients
 
-from helpers import kl_from_scores, oracle_design
+from helpers import kl_from_scores, oracle_design, raw_predictors
+from oracles import block_coordinate_descent, group_objective, kkt_loop
+
+
+def fista_from_data(Y, B, gamma, offsets, step=None, **kwargs):
+    """Solve min_X 0.5||Y - B X||_F^2 + gamma sum_k ||X_k||_F from the data
+    form, by default at step 0.9 / lambda_max(B^T B)."""
+    gram = B.T @ B
+    if step is None:
+        step = 0.9 / np.linalg.eigvalsh(gram)[-1]
+    return block_fista_gram(gram, B.T @ Y, float(np.sum(Y * Y)), offsets,
+                            gamma, step, **kwargs)
 
 
 def mixed_block_design(sizes=(1, 3, 2, 1), L=2, n=90, seed=21):
@@ -27,7 +38,6 @@ def mixed_block_design(sizes=(1, 3, 2, 1), L=2, n=90, seed=21):
     kl = [kl_from_scores(coeffs[:, k, :q], BasisSpec("fourier", max(sizes)))
           for k, q in enumerate(sizes)]
     return build_design(kl, L)
-from oracles import block_coordinate_descent, group_objective
 
 
 class TestBuildDesign:
@@ -36,25 +46,24 @@ class TestBuildDesign:
         scores = [np.arange(n, dtype=float)[:, None] + 100 * j for j in range(p)]
         design = build_design([kl_from_scores(s) for s in scores], L=1)
         np.testing.assert_array_equal(design.responses[0][:, 0], np.arange(1, 9))
-        np.testing.assert_array_equal(design.lagged[0][1][:, 0],
-                                      np.arange(0, 8) + 100)
+        np.testing.assert_allclose(raw_predictors(design)[:, 1],
+                                   np.arange(0, 8) + 100, rtol=1e-13)
 
     def test_two_lags_alignment(self):
         n = 10
         scores = np.arange(n, dtype=float)[:, None]
         design = build_design([kl_from_scores(scores)], L=2)
         np.testing.assert_array_equal(design.responses[0][:, 0], np.arange(2, 10))
-        np.testing.assert_array_equal(design.lagged[0][0][:, 0], np.arange(1, 9))
-        np.testing.assert_array_equal(design.lagged[1][0][:, 0], np.arange(0, 8))
+        raw = raw_predictors(design)
+        np.testing.assert_allclose(raw[:, 0], np.arange(1, 9), rtol=1e-13)
+        np.testing.assert_allclose(raw[:, 1], np.arange(0, 8), rtol=1e-13)
 
     def test_scalar_standardizer(self):
         rng = np.random.default_rng(0)
         s = rng.standard_normal((40, 1))
         design = build_design([kl_from_scores(s)], L=1)
-        expected = np.sqrt(np.mean(s[:-1, 0] ** 2) * 40 / 39)
-        assert design.standardizers[0][0][0, 0] == pytest.approx(
+        assert 1.0 / design.unstandardize[0, 0] == pytest.approx(
             np.sqrt(s[:-1, 0] @ s[:-1, 0] / 39))
-        del expected
 
     def test_standardized_blocks_orthonormal(self):
         design, _ = oracle_design()
@@ -72,7 +81,7 @@ class TestBuildDesign:
         model = fit_regularized_fpca(curves, grid, BasisSpec("bspline", 8),
                                      q=3, eta=0.0)
         design = build_design([model], L=1)
-        D = design.standardizers[0][0]
+        D = np.linalg.inv(design.unstandardize)
         off = np.abs(D - np.diag(np.diag(D))).max()
         # dropping one time point from the exactly-diagonal full-sample Gram
         # leaves off-diagonals of order lambda/n
@@ -135,12 +144,13 @@ class TestBlockFista:
     def test_huge_gamma_annihilates(self):
         gmax = max(np.linalg.norm((self.B.T @ self.Y)[lo:hi])
                    for lo, hi in zip(self.offs[:-1], self.offs[1:]))
-        info = block_fista(self.Y, self.B, gamma=1.01 * gmax, offsets=self.offs)
+        info = fista_from_data(self.Y, self.B, gamma=1.01 * gmax,
+                               offsets=self.offs)
         np.testing.assert_array_equal(info.x, 0.0)
 
     def test_gamma_zero_matches_normal_equations(self):
-        info = block_fista(self.Y, self.B, gamma=0.0, offsets=self.offs,
-                           tol=1e-14, max_iter=50000)
+        info = fista_from_data(self.Y, self.B, gamma=0.0, offsets=self.offs,
+                               tol=1e-14, max_iter=50000)
         X = np.linalg.solve(self.B.T @ self.B, self.B.T @ self.Y)
         f_star = 0.5 * np.sum((self.Y - self.B @ X) ** 2)
         f_hat = 0.5 * np.sum((self.Y - self.B @ info.x) ** 2)
@@ -148,24 +158,25 @@ class TestBlockFista:
 
     def test_matches_coordinate_descent_oracle(self):
         gamma = 3.0
-        info = block_fista(self.Y, self.B, gamma=gamma, offsets=self.offs,
-                           tol=1e-14, max_iter=50000)
+        info = fista_from_data(self.Y, self.B, gamma=gamma, offsets=self.offs,
+                               tol=1e-14, max_iter=50000)
         _, f_cd = block_coordinate_descent(self.Y, self.B, self.offs, gamma,
                                            tol=1e-12)
         f_fista = group_objective(self.Y, self.B, info.x, self.offs, gamma)
         assert abs(f_fista - f_cd) <= 1e-6 * abs(f_cd)
 
     def test_trace_nonincreasing(self):
-        info = block_fista(self.Y, self.B, gamma=1.0, offsets=self.offs,
-                           tol=1e-12, max_iter=20000)
+        info = fista_from_data(self.Y, self.B, gamma=1.0, offsets=self.offs,
+                               tol=1e-12, max_iter=20000)
         diffs = np.diff(info.objective_trace)
         assert diffs.max() <= 1e-9 * max(1.0, info.objective_trace[0])
 
     def test_homogeneity_in_response_scale(self):
         c = 3.7
-        a = block_fista(self.Y, self.B, gamma=2.0, offsets=self.offs, tol=1e-13)
-        b = block_fista(c * self.Y, self.B, gamma=2.0 * c, offsets=self.offs,
-                        tol=1e-13)
+        a = fista_from_data(self.Y, self.B, gamma=2.0, offsets=self.offs,
+                            tol=1e-13)
+        b = fista_from_data(c * self.Y, self.B, gamma=2.0 * c, offsets=self.offs,
+                            tol=1e-13)
         active_a = [np.linalg.norm(a.x[lo:hi]) > 0
                     for lo, hi in zip(self.offs[:-1], self.offs[1:])]
         active_b = [np.linalg.norm(b.x[lo:hi]) > 0
@@ -176,12 +187,12 @@ class TestBlockFista:
     @pytest.mark.parametrize("offsets", [[0, 3, 3, 9], [0, 4], [1, 9], [0, 6, 3, 9]])
     def test_bad_offsets_rejected(self, offsets):
         with pytest.raises(ConfigError, match="offsets"):
-            block_fista(self.Y, self.B, gamma=1.0, offsets=offsets)
+            fista_from_data(self.Y, self.B, gamma=1.0, offsets=offsets)
 
     def test_divergent_step_raises(self):
         with pytest.raises(NumericalError):
-            block_fista(self.Y, self.B, gamma=0.0, offsets=self.offs,
-                        C_step=100.0, max_iter=2000)
+            fista_from_data(self.Y, self.B, gamma=0.0, offsets=self.offs,
+                            step=100.0, max_iter=2000)
 
     def test_kkt_certificates_random_fixtures(self):
         rng = np.random.default_rng(6)
@@ -223,8 +234,9 @@ class TestMixedBlocks:
                 assert block.shape == (sizes[k], sizes[j])
                 b = h * design.p + k
                 Xb = fit.coeffs_std[design.offsets[b]: design.offsets[b + 1]]
+                rows = slice(design.offsets[b], design.offsets[b + 1])
                 np.testing.assert_allclose(
-                    block, design.standardizers_inv[h][k] @ Xb,
+                    block, design.unstandardize[rows, rows] @ Xb,
                     rtol=0, atol=1e-12)
         with pytest.raises(IndexError):
             fit.psi[design.L]
@@ -269,6 +281,30 @@ class TestMixedBlocks:
                                                   est.psi[h][j][k])
 
 
+class TestBlockNorms:
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_gamma_max_bit_identical_to_block_loop(self, L):
+        # at L=1 rows 0 and 1 have a top block whose einsum/reduceat norm
+        # differs from np.linalg.norm in the last bit
+        design = mixed_block_design(L=L)
+        for j in range(design.p):
+            hmat = design.design.T @ design.responses[j]
+            top = max(float(np.linalg.norm(hmat[lo:hi]))
+                      for lo, hi in zip(design.offsets, design.offsets[1:]))
+            assert gamma_max(design, j) == top * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.8, 1.5])
+    def test_kkt_residuals_match_block_loop(self, ratio):
+        design = mixed_block_design()
+        j = 1
+        # a loose tolerance leaves residuals well above rounding
+        fit = fit_row(j, design, ratio * gamma_max(design, j), tol=1e-3)
+        want = kkt_loop(design.gram, design.design.T @ design.responses[j],
+                        fit.coeffs_std, design.offsets, fit.gamma)
+        np.testing.assert_allclose(kkt_residuals(design, fit), want,
+                                   rtol=1e-10, atol=1e-13)
+
+
 class TestFitRowAndSelection:
     def test_gamma_max_gives_zero_fit(self):
         design, _ = oracle_design()
@@ -286,10 +322,13 @@ class TestFitRowAndSelection:
     def test_residual_consistent_with_raw_coordinates(self):
         design, _ = oracle_design(n=80)
         fit = fit_row(0, design, 0.5 * gamma_max(design, 0), tol=1e-12)
+        raw = raw_predictors(design)
         pred = np.zeros_like(design.responses[0])
         for h in range(1, design.L + 1):
             for k in range(design.p):
-                pred += design.lagged[h - 1][k] @ fit.psi[h - 1][k]
+                b = (h - 1) * design.p + k
+                pred += raw[:, design.offsets[b]: design.offsets[b + 1]] \
+                    @ fit.psi[h - 1][k]
         rss = float(np.sum((design.responses[0] - pred) ** 2))
         assert rss == pytest.approx(fit.rss, rel=1e-10)
 
@@ -398,7 +437,7 @@ class TestRecoverKernels:
         kl = [kl_from_scores(design.responses[j], BasisSpec("fourier", 2))
               for j in range(design.p)]
         est = recover_kernels(fits, kl)
-        assert est.hs_norms().max() == 0.0
+        assert est.hs.max() == 0.0
         u = np.linspace(0, 1, 7)
         np.testing.assert_array_equal(est.evaluate(1, 0, 1, u, u), 0.0)
 
