@@ -396,10 +396,9 @@ def gamma_max(design: DesignSet, j: int) -> float:
     """Smallest gamma at which the all-zero solution is optimal (padded by a
     1e-10 relative margin so the boundary survives floating-point rounding)."""
     hmat = design.design.T @ design.responses[j]
-    k = int(np.argmax(block_sq_norms(hmat, design.offsets[:-1])))
-    # the winning block's norm comes from np.linalg.norm, whose rounding
-    # fixes the last bit of every gamma grid and so of every path fit
-    top = float(np.linalg.norm(hmat[design.offsets[k]: design.offsets[k + 1]]))
+    top = max(
+        float(np.linalg.norm(hmat[design.offsets[k]: design.offsets[k + 1]]))
+        for k in range(design.n_blocks))
     return top * (1.0 + 1e-10)
 
 

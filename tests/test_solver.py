@@ -15,7 +15,8 @@ from fvar.solver import (KernelEstimate, block_fista_gram, build_design,
                          select_gamma)
 from fvar.vfar import gen_block_banded, simulate_coefficients
 
-from helpers import kl_from_scores, oracle_design, raw_predictors
+from helpers import (kl_from_scores, lagged_scores, oracle_design,
+                     oracle_models)
 from oracles import block_coordinate_descent, group_objective, kkt_loop
 
 
@@ -29,15 +30,19 @@ def fista_from_data(Y, B, gamma, offsets, step=None, **kwargs):
                             gamma, step, **kwargs)
 
 
-def mixed_block_design(sizes=(1, 3, 2, 1), L=2, n=90, seed=21):
-    """Design with score blocks of unequal widths q_k and L lags, so a
-    wrong block mapping in the solver cannot hide behind equal sizes."""
+def mixed_block_models(sizes=(1, 3, 2, 1), n=90, seed=21):
+    """KL models with scores of unequal widths q_k, so a wrong block
+    mapping in the solver cannot hide behind equal sizes."""
     model = gen_block_banded(p=len(sizes), G=max(sizes), bandwidth=1,
                              seed=seed, measurement_noise=0.0)
     coeffs = simulate_coefficients(model, n, seed=seed)
-    kl = [kl_from_scores(coeffs[:, k, :q], BasisSpec("fourier", max(sizes)))
-          for k, q in enumerate(sizes)]
-    return build_design(kl, L)
+    return [kl_from_scores(coeffs[:, k, :q], BasisSpec("fourier", max(sizes)))
+            for k, q in enumerate(sizes)]
+
+
+def mixed_block_design(sizes=(1, 3, 2, 1), L=2, n=90, seed=21):
+    """Design of ``mixed_block_models`` with L lags."""
+    return build_design(mixed_block_models(sizes, n, seed), L)
 
 
 class TestBuildDesign:
@@ -46,17 +51,28 @@ class TestBuildDesign:
         scores = [np.arange(n, dtype=float)[:, None] + 100 * j for j in range(p)]
         design = build_design([kl_from_scores(s) for s in scores], L=1)
         np.testing.assert_array_equal(design.responses[0][:, 0], np.arange(1, 9))
-        np.testing.assert_allclose(raw_predictors(design)[:, 1],
-                                   np.arange(0, 8) + 100, rtol=1e-13)
+        raw = np.column_stack([np.arange(0, 8), np.arange(0, 8) + 100.0])
+        np.testing.assert_allclose(design.design, raw @ design.unstandardize,
+                                   rtol=1e-13)
 
     def test_two_lags_alignment(self):
         n = 10
         scores = np.arange(n, dtype=float)[:, None]
         design = build_design([kl_from_scores(scores)], L=2)
         np.testing.assert_array_equal(design.responses[0][:, 0], np.arange(2, 10))
-        raw = raw_predictors(design)
-        np.testing.assert_allclose(raw[:, 0], np.arange(1, 9), rtol=1e-13)
-        np.testing.assert_allclose(raw[:, 1], np.arange(0, 8), rtol=1e-13)
+        raw = np.column_stack([np.arange(1, 9), np.arange(0, 8.0)])
+        np.testing.assert_allclose(design.design, raw @ design.unstandardize,
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_design_is_lagged_scores_unstandardized(self, L):
+        # full (q_k, q_k) blocks of D^{-1}: a diagonal-only unstandardize
+        # would break this on the q_k > 1 blocks
+        kl = mixed_block_models()
+        design = build_design(kl, L)
+        np.testing.assert_allclose(design.design,
+                                   lagged_scores(kl, L) @ design.unstandardize,
+                                   rtol=1e-10, atol=1e-12)
 
     def test_scalar_standardizer(self):
         rng = np.random.default_rng(0)
@@ -224,7 +240,9 @@ class TestMixedBlocks:
 
     def test_psi_blocks_shapes_and_values(self):
         sizes = (1, 3, 2, 1)
-        design = mixed_block_design(sizes)
+        kl = mixed_block_models(sizes)
+        design = build_design(kl, 2)
+        raw = lagged_scores(kl, 2)
         j = 1
         fit = fit_row(j, design, 0.2 * gamma_max(design, j))
         assert len(fit.psi) == design.L and len(fit.psi[0]) == design.p
@@ -232,12 +250,14 @@ class TestMixedBlocks:
             for k in range(design.p):
                 block = fit.psi[h][k]
                 assert block.shape == (sizes[k], sizes[j])
-                b = h * design.p + k
-                Xb = fit.coeffs_std[design.offsets[b]: design.offsets[b + 1]]
-                rows = slice(design.offsets[b], design.offsets[b + 1])
+                # the raw lagged scores times psi give the block's share of
+                # the standardized prediction
+                rows = slice(design.offsets[h * design.p + k],
+                             design.offsets[h * design.p + k + 1])
                 np.testing.assert_allclose(
-                    block, design.unstandardize[rows, rows] @ Xb,
-                    rtol=0, atol=1e-12)
+                    raw[:, rows] @ block,
+                    design.design[:, rows] @ fit.coeffs_std[rows],
+                    rtol=1e-10, atol=1e-12)
         with pytest.raises(IndexError):
             fit.psi[design.L]
 
@@ -282,17 +302,6 @@ class TestMixedBlocks:
 
 
 class TestBlockNorms:
-    @pytest.mark.parametrize("L", [1, 2])
-    def test_gamma_max_bit_identical_to_block_loop(self, L):
-        # at L=1 rows 0 and 1 have a top block whose einsum/reduceat norm
-        # differs from np.linalg.norm in the last bit
-        design = mixed_block_design(L=L)
-        for j in range(design.p):
-            hmat = design.design.T @ design.responses[j]
-            top = max(float(np.linalg.norm(hmat[lo:hi]))
-                      for lo, hi in zip(design.offsets, design.offsets[1:]))
-            assert gamma_max(design, j) == top * (1.0 + 1e-10)
-
     @pytest.mark.parametrize("ratio", [0.0, 0.3, 0.8, 1.5])
     def test_kkt_residuals_match_block_loop(self, ratio):
         design = mixed_block_design()
@@ -320,9 +329,10 @@ class TestFitRowAndSelection:
         assert fit.df == pytest.approx(float((design.block_sizes() * q_j).sum()))
 
     def test_residual_consistent_with_raw_coordinates(self):
-        design, _ = oracle_design(n=80)
+        kl, _ = oracle_models(n=80)
+        design = build_design(kl, 1)
         fit = fit_row(0, design, 0.5 * gamma_max(design, 0), tol=1e-12)
-        raw = raw_predictors(design)
+        raw = lagged_scores(kl, 1)
         pred = np.zeros_like(design.responses[0])
         for h in range(1, design.L + 1):
             for k in range(design.p):
