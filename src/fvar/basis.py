@@ -13,6 +13,7 @@ Q = int b''(u) b''(u)^T du used by regularized FPCA.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -129,21 +130,17 @@ def evaluate_basis_deriv2(spec: BasisSpec, points) -> np.ndarray:
     return spline.derivative(2)(pts)
 
 
-def gram_matrices(spec: BasisSpec, quadrature_order: int | None = None) -> GramPair:
-    """Compute the Gram pair (J, Q).
+@functools.cache
+def gram_matrices(spec: BasisSpec) -> GramPair:
+    """Compute the Gram pair (J, Q), once per spec; both are read-only.
 
-    The B-spline case integrates with Gauss-Legendre quadrature of the given
-    order on every inter-knot interval, which is exact for the piecewise
-    polynomial integrands; the Fourier case uses the closed forms of the
-    orthonormal system (J identity, Q diagonal with the fourth powers of the
-    angular frequencies).
+    The B-spline case integrates with Gauss-Legendre quadrature of order
+    2 * dimension on every inter-knot interval, which is exact for the
+    piecewise polynomial integrands; the Fourier case uses the closed forms
+    of the orthonormal system (J identity, Q diagonal with the fourth powers
+    of the angular frequencies).
     """
     G = spec.dimension
-    if quadrature_order is None:
-        quadrature_order = 2 * G
-    if quadrature_order < 2 * G:
-        raise ConfigError("quadrature_order must be at least 2 * dimension")
-
     if spec.kind == "fourier":
         T = spec.length
         J = np.eye(G)
@@ -151,21 +148,20 @@ def gram_matrices(spec: BasisSpec, quadrature_order: int | None = None) -> GramP
         for col in range(1, G):
             k = (col + 1) // 2
             qdiag[col] = (2.0 * np.pi * k / T) ** 4
-        return GramPair(J=J, Q=np.diag(qdiag))
-
-    t = _bspline_knots(spec)
-    breaks = np.unique(t)
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
-    J = np.zeros((G, G))
-    Q = np.zeros((G, G))
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        half = 0.5 * (hi - lo)
-        x = lo + half * (nodes + 1.0)
-        w = half * weights
-        B = evaluate_basis(spec, x)
-        D2 = evaluate_basis_deriv2(spec, x)
-        J += (B * w[:, None]).T @ B
-        Q += (D2 * w[:, None]).T @ D2
-    J = 0.5 * (J + J.T)
-    Q = 0.5 * (Q + Q.T)
+        Q = np.diag(qdiag)
+    else:
+        breaks = np.unique(_bspline_knots(spec))
+        nodes, weights = np.polynomial.legendre.leggauss(2 * G)
+        J = np.zeros((G, G))
+        Q = np.zeros((G, G))
+        for lo, hi in zip(breaks[:-1], breaks[1:]):
+            half = 0.5 * (hi - lo)
+            x = lo + half * (nodes + 1.0)
+            w = half * weights
+            B = evaluate_basis(spec, x)
+            D2 = evaluate_basis_deriv2(spec, x)
+            J += (B * w[:, None]).T @ B
+            Q += (D2 * w[:, None]).T @ D2
+        J, Q = 0.5 * (J + J.T), 0.5 * (Q + Q.T)
+    J.flags.writeable = Q.flags.writeable = False
     return GramPair(J=J, Q=Q)

@@ -290,14 +290,14 @@ def cmd_ingest_cidr(args) -> int:
 # ------------------------------------------------------------------ parser
 
 def _add_common(sp) -> None:
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", type=str, default="out")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--config", type=str, default=None,
                     help="JSON file with default values for the flags")
 
 
 def _add_fit_like(sp) -> None:
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--panel", required=True)
     sp.add_argument("--L", type=int, default=1)
     sp.add_argument("--basis", choices=["bspline", "fourier"], default="bspline")
@@ -337,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--basis-dim", type=int, default=5)
     sp.add_argument("--sigma-e", type=float, default=0.5)
     sp.add_argument("--burn-in", type=int, default=500)
+    sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(func=cmd_simulate)
 
@@ -390,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ar", type=float, default=0.0)
     sp.add_argument("--compare-ar", type=float, default=None,
                     help="also run a dependent fixture and compare medians")
+    sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(func=cmd_verify_concentration)
 

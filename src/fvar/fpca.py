@@ -7,6 +7,11 @@ problem is solved by whitening with J + eta Q, an ordinary symmetric
 eigendecomposition, and a back-transform, so that each component phi_l
 satisfies ||phi_l|| = 1 and <phi_l, phi_m> + eta <phi_l'', phi_m''> = 0
 for l != m.
+
+Cross-validation whitens once per eta and decomposes once per (fold, eta)
+for all q.  The q-component model takes the first q components in
+whitened-eigenvalue order, re-sorted by score variance; at eta > 0 they are
+not always the q of largest score variance.
 """
 
 from __future__ import annotations
@@ -94,32 +99,40 @@ def project_to_basis(curves: np.ndarray, grid: np.ndarray, basis: BasisSpec) -> 
     return coeffs.T
 
 
-def _fit_from_coeffs(delta: np.ndarray, basis: BasisSpec, grams: GramPair,
-                     q: int, eta: float, center: bool) -> KLModel:
-    n, G = delta.shape
-    if q < 1 or q > min(G, n):
-        raise ConfigError(f"q must be in [1, min(G, n)] = [1, {min(G, n)}]")
+def _whiten(grams: GramPair, eta: float):
+    """(P, s) with P^T (J + eta Q) P = diag(s)^-2; it depends only on the
+    basis and eta."""
     if eta < 0:
         raise ConfigError("smoothing parameter must be nonnegative")
-
-    mean_coeffs = delta.mean(axis=0) if center else np.zeros(G)
-    dc = delta - mean_coeffs
-    J, Q = grams.J, grams.Q
-    U = J @ (dc.T @ dc) @ J / n
-
-    M = J + eta * Q
+    M = grams.J + eta * grams.Q
     w, P = np.linalg.eigh(0.5 * (M + M.T))
     if w.min() <= _RANK_TOL * max(w.max(), 1.0):
         raise NumericalError("J + eta*Q is numerically rank deficient")
-    s1 = w ** -0.5
+    return P, w ** -0.5
+
+
+def _decompose(delta: np.ndarray, basis: BasisSpec, grams: GramPair,
+               whitening, eta: float, q_grid):
+    """One eigendecomposition of the whitened covariance of the rows of
+    ``delta``, returned as model(q) for every q of ``q_grid``: the first q
+    components in whitened-eigenvalue order, re-sorted to nonincreasing
+    score variance, each signed so that its largest coefficient is positive."""
+    n, G = delta.shape
+    if min(q_grid) < 1 or max(q_grid) > min(G, n):
+        raise ConfigError(f"q must be in [1, min(G, n)] = [1, {min(G, n)}]")
+
+    mean_coeffs = delta.mean(axis=0)
+    dc = delta - mean_coeffs
+    J = grams.J
+    U = J @ (dc.T @ dc) @ J / n
+
+    P, s1 = whitening
     K = s1[:, None] * (P.T @ U @ P) * s1[None, :]
     evals, evecs = np.linalg.eigh(0.5 * (K + K.T))
     order = np.argsort(-evals, kind="stable")
     evals, evecs = evals[order], evecs[:, order]
-
-    positive = evals > max(evals.max(), 0.0) * 1e-12
-    keep = min(q, int(positive.sum()))
-    truncated = keep < q
+    rank = int(np.sum(evals > max(evals.max(), 0.0) * 1e-12))
+    keep = min(max(q_grid), rank)
 
     zetas = np.empty((keep, G))
     lambdas = np.empty(keep)
@@ -134,25 +147,24 @@ def _fit_from_coeffs(delta: np.ndarray, basis: BasisSpec, grams: GramPair,
         lambdas[l] = max(lam, 0.0)
         scores[:, l] = dc @ (J @ zeta)
 
-    # nonincreasing score variances, then a deterministic sign convention
-    order = np.argsort(-lambdas, kind="stable")
-    zetas, lambdas, scores = zetas[order], lambdas[order], scores[:, order]
-    for l in range(keep):
-        peak = np.argmax(np.abs(zetas[l]))
-        if zetas[l, peak] < 0:
-            zetas[l] = -zetas[l]
-            scores[:, l] = -scores[:, l]
-
-    return KLModel(basis=basis, mean_coeffs=mean_coeffs, eigenvalues=lambdas,
-                   eigen_coeffs=zetas, scores=scores, smoothing=float(eta),
-                   truncated=truncated)
+    def model(q: int) -> KLModel:
+        keep = min(q, rank)
+        order = np.argsort(-lambdas[:keep], kind="stable")
+        z = zetas[order]
+        sign = np.where(z[np.arange(keep), np.abs(z).argmax(axis=1)] < 0, -1.0, 1.0)
+        return KLModel(basis=basis, mean_coeffs=mean_coeffs,
+                       eigenvalues=lambdas[order], eigen_coeffs=z * sign[:, None],
+                       scores=scores[:, order] * sign, smoothing=float(eta),
+                       truncated=keep < q)
+    return model
 
 
 def fit_regularized_fpca(curves: np.ndarray, grid: np.ndarray, basis: BasisSpec,
-                         q: int, eta: float = 0.0, center: bool = True) -> KLModel:
+                         q: int, eta: float = 0.0) -> KLModel:
     """Fit the penalized FPCA pipeline to an (n, T) matrix of curves."""
+    grams = gram_matrices(basis)
     delta = project_to_basis(curves, grid, basis)
-    return _fit_from_coeffs(delta, basis, gram_matrices(basis), q, eta, center)
+    return _decompose(delta, basis, grams, _whiten(grams, eta), eta, [q])(q)
 
 
 def reconstruct(model: KLModel, t: int, points) -> np.ndarray:
@@ -190,15 +202,19 @@ def cross_validate(curves: np.ndarray, grid: np.ndarray, basis: BasisSpec,
     grams = gram_matrices(basis)
     B = evaluate_basis(basis, grid)
     delta = project_to_basis(curves, grid, basis)
+    trains = [np.setdiff1d(np.arange(n), test) for test in fold_idx]
+    models = []  # one decomposition per (eta, fold), read for every q
+    for eta in eta_grid:
+        whitening = _whiten(grams, eta)
+        models.append([_decompose(delta[train], basis, grams, whitening, eta, q_grid)
+                       for train in trains])
 
     table = []
     for q in q_grid:
-        for eta in eta_grid:
+        for eta, per_fold in zip(eta_grid, models):
             total = 0.0
-            for test in fold_idx:
-                train = np.setdiff1d(np.arange(n), test)
-                model = _fit_from_coeffs(delta[train], basis, grams, q, eta,
-                                         center=True)
+            for model_of, test in zip(per_fold, fold_idx):
+                model = model_of(q)
                 sc = (delta[test] - model.mean_coeffs) @ (grams.J @ model.eigen_coeffs.T)
                 pred = (model.mean_coeffs + sc @ model.eigen_coeffs) @ B.T
                 total += float(np.sum((curves[test] - pred) ** 2))

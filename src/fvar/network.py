@@ -202,9 +202,9 @@ def read_price_csv(path):
 
     Returns (prices, tickers, dates) with days ordered by date and tickers by
     first appearance; missing or repeated (date, ticker, minute)
-    combinations are an error.  Rows are parsed into flat typed arrays and
-    scattered into the panel at the end, so memory stays near that of the
-    panel itself.
+    combinations and non-finite prices are an error.  Rows are parsed into
+    flat typed arrays and scattered into the panel at the end, so memory
+    stays near that of the panel itself.
     """
     dates: dict[str, int] = {}
     tickers: dict[str, int] = {}
@@ -230,6 +230,11 @@ def read_price_csv(path):
             values.append(price)
     if not values:
         raise DataError(f"{path}: no price rows")
+    price_arr = np.frombuffer(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(price_arr))
+    if bad.size:
+        raise DataError(f"{path}, line {bad[0] + 2}: missing or non-finite "
+                        f"price {float(price_arr[bad[0]])!r}")
     minute_idx = np.frombuffer(minutes, dtype=np.int64)
     if minute_idx.min() < 0:
         raise DataError(f"{path}: negative minute_index")
@@ -239,19 +244,18 @@ def read_price_csv(path):
     day_idx = day_rank[np.frombuffer(day_of, dtype=np.int64)]
     tick_idx = np.frombuffer(ticker_of, dtype=np.int64)
     prices = np.full((len(days), len(tickers), int(minute_idx.max()) + 1), np.nan)
-    prices[day_idx, tick_idx, minute_idx] = np.frombuffer(values, dtype=float)
+    prices[day_idx, tick_idx, minute_idx] = price_arr
     filled = prices.size - np.count_nonzero(np.isnan(prices))
     if len(values) > filled:
-        # more rows than filled cells: a repeated key, or a NaN price
+        # every price is finite, so more rows than filled cells means a
+        # repeated key; name its first repetition
         cells = np.ravel_multi_index((day_idx, tick_idx, minute_idx), prices.shape)
         order = np.argsort(cells, kind="stable")
-        repeats = order[1:][cells[order[1:]] == cells[order[:-1]]]
-        if repeats.size:
-            row = int(repeats.min())
-            raise DataError(
-                f"{path}, line {row + 2}: duplicate row for date "
-                f"{days[day_idx[row]]}, ticker {list(tickers)[tick_idx[row]]}, "
-                f"minute {minute_idx[row]}")
+        row = int(order[1:][cells[order[1:]] == cells[order[:-1]]].min())
+        raise DataError(
+            f"{path}, line {row + 2}: duplicate row for date "
+            f"{days[day_idx[row]]}, ticker {list(tickers)[tick_idx[row]]}, "
+            f"minute {minute_idx[row]}")
     if filled < prices.size:
         raise DataError("price panel has missing (date, ticker, minute) cells")
     return prices, list(tickers), days

@@ -64,7 +64,7 @@ class CurvePanel:
     def from_csv(cls, path, grid=None) -> "CurvePanel":
         """Read the long format; the grid itself is not stored in the CSV,
         so pass it explicitly or a uniform [0, 1] grid is assumed.  A
-        repeated (variable, t, grid_index) is a DataError."""
+        negative or repeated (variable, t, grid_index) is a DataError."""
         rows: dict[str, dict[tuple[int, int], float]] = {}
         max_t = -1
         max_s = -1
@@ -79,6 +79,9 @@ class CurvePanel:
                     raise DataError(
                         f"variable {name!r}: unparsable t {rec['t']!r} or "
                         f"grid_index {rec['grid_index']!r}") from None
+                if t < 0 or s < 0:
+                    raise DataError(f"variable {name!r}: negative t={t} or "
+                                    f"grid index {s}")
                 try:
                     value = float(rec["value"])
                 except ValueError:

@@ -8,12 +8,12 @@ keyed by variable index, making the output independent of the schedule.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import BasisSpec
-from .fpca import KLModel, cross_validate, fit_regularized_fpca
+from .fpca import cross_validate, fit_regularized_fpca
 from .panel import CurvePanel
 from .solver import (DesignSet, FitResult, KernelEstimate, build_design,
                      default_gamma_grid, fit_row, recover_kernels,
@@ -33,13 +33,15 @@ def _map_indexed(fn, count: int, threads: int):
         return list(pool.map(fn, range(count)))
 
 
+EIGEN_FLOOR = 1e-2
+
+
 def fpca_panel(panel: CurvePanel, basis: BasisSpec, q_grid, eta_grid,
-               folds: int = 5, seed: int = 0, threads: int = 1,
-               eigen_floor: float = 1e-2) -> PanelFPCA:
+               folds: int = 5, seed: int = 0, threads: int = 1) -> PanelFPCA:
     """Fit regularized FPCA to every variable, cross-validating (q, eta)
     whenever the grids leave a choice.
 
-    Components whose eigenvalue falls below ``eigen_floor`` times the leading
+    Components whose eigenvalue falls below ``EIGEN_FLOOR`` times the leading
     one are dropped: the downstream regression standardizes each score block,
     which amplifies a direction by 1 / sqrt(lambda_l / lambda_1), so keeping
     near-degenerate components injects unbounded noise into the recovered
@@ -57,9 +59,9 @@ def fpca_panel(panel: CurvePanel, basis: BasisSpec, q_grid, eta_grid,
                                 folds=folds, seed=seed * 100003 + j)
             q, eta = cv.q, cv.eta
         model = fit_regularized_fpca(curves, panel.grid, basis, q, eta)
-        if eigen_floor > 0 and model.q > 1:
+        if model.q > 1:
             keep = int(np.sum(model.eigenvalues >=
-                              eigen_floor * model.eigenvalues[0]))
+                              EIGEN_FLOOR * model.eigenvalues[0]))
             if keep < model.q:
                 model = truncate_models([model], keep)[0]
         return model, (model.q, eta)
@@ -71,15 +73,8 @@ def fpca_panel(panel: CurvePanel, basis: BasisSpec, q_grid, eta_grid,
 
 def truncate_models(kl_models, q: int) -> list:
     """Keep only the leading q components of each variable."""
-    out = []
-    for m in kl_models:
-        keep = min(q, m.q)
-        out.append(KLModel(basis=m.basis, mean_coeffs=m.mean_coeffs,
-                           eigenvalues=m.eigenvalues[:keep],
-                           eigen_coeffs=m.eigen_coeffs[:keep],
-                           scores=m.scores[:, :keep], smoothing=m.smoothing,
-                           truncated=m.truncated))
-    return out
+    return [replace(m, eigenvalues=m.eigenvalues[:q], eigen_coeffs=m.eigen_coeffs[:q],
+                    scores=m.scores[:, :q]) for m in kl_models]
 
 
 def fit_rows(design: DesignSet, gamma: float | None = None,

@@ -4,7 +4,8 @@ Everything here is deliberately written against the mathematical definitions
 rather than the package internals: de Boor recursion for B-splines, dense-grid
 quadrature for Gram matrices, cyclic blockwise proximal coordinate descent for
 the group lasso, and a trace-based characteristic polynomial for spectral
-radii.
+radii.  ``fista_loop``, ``kkt_loop`` and the FPCA refits are the package's
+earlier, slower formulations, kept as references its faster ones must match.
 """
 
 import numpy as np
@@ -211,3 +212,73 @@ def kkt_loop(gram, hmat, X, offsets, gamma):
         else:
             active_res = max(active_res, np.linalg.norm(gb + gamma * xb / nx))
     return zero_excess, active_res
+
+
+def fpca_components(delta, grams, q, eta):
+    """The first q regularized FPCA components of the coefficient rows
+    ``delta`` in whitened-eigenvalue order, from a fresh whitening and
+    eigendecomposition.  Returns (mean, zetas, lambdas, scores, truncated)."""
+    n, G = delta.shape
+    if q < 1 or q > min(G, n):
+        raise ValueError("q out of range")
+    mean = delta.mean(axis=0)
+    dc = delta - mean
+    J, Q = grams.J, grams.Q
+    U = J @ (dc.T @ dc) @ J / n
+    M = J + eta * Q
+    w, P = np.linalg.eigh(0.5 * (M + M.T))
+    s1 = w ** -0.5
+    K = s1[:, None] * (P.T @ U @ P) * s1[None, :]
+    evals, evecs = np.linalg.eigh(0.5 * (K + K.T))
+    order = np.argsort(-evals, kind="stable")
+    evals, evecs = evals[order], evecs[:, order]
+    positive = evals > max(evals.max(), 0.0) * 1e-12
+    keep = min(q, int(positive.sum()))
+    zetas = np.empty((keep, G))
+    lambdas = np.empty(keep)
+    scores = np.empty((n, keep))
+    for l in range(keep):
+        zeta = P @ (s1 * evecs[:, l])
+        zeta = zeta / np.sqrt(zeta @ J @ zeta)
+        zetas[l] = zeta
+        lambdas[l] = max(float(zeta @ U @ zeta), 0.0)
+        scores[:, l] = dc @ (J @ zeta)
+    return mean, zetas, lambdas, scores, keep < q
+
+
+def fpca_refit(delta, grams, q, eta):
+    """The q-component model refitted from scratch: ``fpca_components``
+    re-sorted by score variance, each component signed so that its largest
+    coefficient is positive.  Returns (mean, zetas, lambdas, scores,
+    truncated) as ``KLModel`` stores them."""
+    mean, zetas, lambdas, scores, truncated = fpca_components(delta, grams, q, eta)
+    order = np.argsort(-lambdas, kind="stable")
+    zetas, lambdas, scores = zetas[order], lambdas[order], scores[:, order]
+    for l in range(lambdas.size):
+        peak = np.argmax(np.abs(zetas[l]))
+        if zetas[l, peak] < 0:
+            zetas[l] = -zetas[l]
+            scores[:, l] = -scores[:, l]
+    return mean, zetas, lambdas, scores, truncated
+
+
+def cross_validate_refit(delta, curves, B, grams, q_grid, eta_grid, folds, seed):
+    """The K-fold CV table of ``fvar.fpca.cross_validate`` with one full
+    refit per (q, eta, fold), from the coefficient rows ``delta``, the
+    curves, their basis matrix ``B`` and the Gram pair: rows (q, eta, mean
+    squared held-out error)."""
+    n = curves.shape[0]
+    perm = np.random.Generator(np.random.Philox(key=seed)).permutation(n)
+    fold_idx = np.array_split(perm, folds)
+    table = []
+    for q in q_grid:
+        for eta in eta_grid:
+            total = 0.0
+            for test in fold_idx:
+                train = np.setdiff1d(np.arange(n), test)
+                mean, zetas, *_ = fpca_refit(delta[train], grams, q, eta)
+                sc = (delta[test] - mean) @ (grams.J @ zetas.T)
+                pred = (mean + sc @ zetas) @ B.T
+                total += float(np.sum((curves[test] - pred) ** 2))
+            table.append((q, eta, total / (folds * B.shape[0])))
+    return table

@@ -123,9 +123,14 @@ class TestGramMatrices:
         # u -> a + b u lies in the cubic spline span, so c^T Q c = 0
         assert coef @ pair.Q @ coef == pytest.approx(0.0, abs=1e-8)
 
-    def test_low_quadrature_order_rejected(self):
-        with pytest.raises(ConfigError):
-            gram_matrices(BasisSpec("bspline", 6), quadrature_order=4)
+    @pytest.mark.parametrize("kind", ["bspline", "fourier"])
+    def test_one_read_only_pair_per_spec(self, kind):
+        pair = gram_matrices(BasisSpec(kind, 6, domain=(0.0, 2.0)))
+        assert gram_matrices(BasisSpec(kind, 6, domain=(0, 2))) is pair
+        for m in (pair.J, pair.Q):
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
+        assert gram_matrices(BasisSpec(kind, 7, domain=(0.0, 2.0))) is not pair
 
 
 class TestBasisSpec:

@@ -82,6 +82,20 @@ class TestSimulate:
         assert "duplicate" in err and "'a'" in err and "t=1" in err
         assert "grid index 2" in err
 
+    @pytest.mark.parametrize("row, t, s", [("-1,a,0,99.0", -1, 0),
+                                           ("0,a,-1,99.0", 0, -1)])
+    def test_negative_csv_index_is_data_error(self, tmp_path, capsys, row, t, s):
+        # numpy's negative indexing would write 99.0 into the last point
+        path = tmp_path / "neg.csv"
+        CurvePanel(values=np.ones((3, 1, 4)), grid=np.linspace(0, 1, 4),
+                   ids=["a"]).to_csv(path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        assert run("fit", "--panel", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "negative" in err and "'a'" in err and f"t={t}" in err
+        assert f"grid index {s}" in err
+
     def test_preset_desk(self, tmp_path):
         out = tmp_path / "desk"
         assert run("simulate", "--preset", "desk", "--seed", 1,
@@ -300,6 +314,31 @@ class TestIngestCidr:
         assert run("ingest-cidr", "--prices", src,
                    "--out", tmp_path / "cidr") == 2
         assert "duplicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("price", ["nan", "inf"])
+    def test_non_finite_price_is_data_error(self, tmp_path, capsys, price):
+        src = tmp_path / "prices.csv"
+        src.write_text("date,ticker,minute_index,price\n"
+                       f"2017-01-03,AAA,0,10\n2017-01-03,AAA,1,{price}\n")
+        assert run("ingest-cidr", "--prices", src,
+                   "--out", tmp_path / "cidr") == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and f"price {price}" in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--threads"), ("network", "--threads"),
+        ("stability", "--threads"), ("verify-concentration", "--threads"),
+        ("ingest-cidr", "--threads"), ("network", "--seed"),
+        ("stability", "--seed"), ("ingest-cidr", "--seed")])
+    def test_unread_flag_rejected(self, tmp_path, capsys, command, flag):
+        required = {"network": ["--kernels", "k.json", "--indegree", "1"],
+                    "ingest-cidr": ["--prices", "p.csv"]}.get(command, [])
+        with pytest.raises(SystemExit) as exc:
+            run(command, *required, flag, 2, "--out", tmp_path)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 class TestConfigFile:

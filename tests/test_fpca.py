@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fvar.basis import BasisSpec, gram_matrices
+from fvar.basis import BasisSpec, evaluate_basis, gram_matrices
 from fvar.errors import ConfigError
 from fvar.fpca import (cross_validate, fit_regularized_fpca, project_to_basis,
                        reconstruct)
+
+from oracles import cross_validate_refit, fpca_components, fpca_refit
 
 GRID = np.linspace(0.0, 1.0, 50)
 
@@ -179,4 +181,72 @@ class TestCrossValidate:
         curves, _ = single_factor_panel(n=5)
         with pytest.raises(ConfigError):
             cross_validate(curves, GRID, BasisSpec("fourier", 3), [1], [0.0],
+                           folds=4, seed=0)
+
+
+class TestAgainstRefit:
+    """One decomposition per (fold, eta) against a full refit per q."""
+
+    ETAS = [0.0, 1e-4, 1e-2]
+    Q_GRID = [1, 2, 3, 4, 5, 6]
+    BASIS = BasisSpec("bspline", 9)
+
+    @pytest.fixture(scope="class")
+    def curves(self):
+        rng = np.random.default_rng(0)
+        return rng.standard_normal((40, GRID.size)).cumsum(axis=1) / 5.0
+
+    def test_fixture_orders_differ_at_q_boundary(self, curves):
+        # the q-component model is the first q components in whitened order,
+        # which here is not the set of the q largest score variances
+        delta = project_to_basis(curves, GRID, self.BASIS)
+        grams = gram_matrices(self.BASIS)
+        for eta in (1e-4, 1e-2):
+            lambdas = fpca_components(delta, grams, 9, eta)[2]
+            top = np.argsort(-lambdas, kind="stable")
+            assert set(range(5)) != set(top[:5])
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("q", Q_GRID)
+    def test_fit_equals_refit(self, curves, q, eta):
+        model = fit_regularized_fpca(curves, GRID, self.BASIS, q=q, eta=eta)
+        delta = project_to_basis(curves, GRID, self.BASIS)
+        mean, zetas, lambdas, scores, truncated = fpca_refit(
+            delta, gram_matrices(self.BASIS), q, eta)
+        np.testing.assert_array_equal(model.mean_coeffs, mean)
+        np.testing.assert_array_equal(model.eigen_coeffs, zetas)
+        np.testing.assert_array_equal(model.eigenvalues, lambdas)
+        np.testing.assert_array_equal(model.scores, scores)
+        assert model.truncated == truncated
+        assert model.smoothing == eta
+
+    @pytest.mark.parametrize("folds, seed", [(4, 3), (5, 1)])
+    def test_cv_table_equals_refit(self, curves, folds, seed):
+        cv = cross_validate(curves, GRID, self.BASIS, self.Q_GRID, self.ETAS,
+                            folds=folds, seed=seed)
+        ref = cross_validate_refit(
+            project_to_basis(curves, GRID, self.BASIS), curves,
+            evaluate_basis(self.BASIS, GRID), gram_matrices(self.BASIS),
+            self.Q_GRID, self.ETAS, folds, seed)
+        assert cv.table == ref
+
+    def test_one_eigh_per_fold_and_eta(self, curves, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a.shape) or eigh(a))
+        cross_validate(curves, GRID, self.BASIS, [4, 5, 6], self.ETAS,
+                       folds=5, seed=0)
+        assert len(calls) == 3 + 3 * 5  # one whitening per eta
+
+    def test_grid_q_out_of_range_rejected(self, curves):
+        with pytest.raises(ConfigError, match="q must be"):
+            cross_validate(curves[:8], GRID, self.BASIS, [2, 7], [0.0],
+                           folds=4, seed=0)
+
+    def test_negative_eta_rejected(self, curves):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            fit_regularized_fpca(curves, GRID, self.BASIS, q=2, eta=-1e-3)
+        with pytest.raises(ConfigError, match="nonnegative"):
+            cross_validate(curves, GRID, self.BASIS, [2], [0.0, -1e-3],
                            folds=4, seed=0)

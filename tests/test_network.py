@@ -229,6 +229,16 @@ class TestPriceCsv:
         with pytest.raises(DataError, match="missing"):
             read_price_csv(path)
 
+    @pytest.mark.parametrize("price", ["nan", "inf", "-inf"])
+    def test_non_finite_price_names_line(self, tmp_path, price):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,ticker,minute_index,price\n"
+                        f"2017-01-03,AAA,0,10\n2017-01-03,AAA,1,{price}\n"
+                        "2017-01-03,AAA,2,11\n")
+        with pytest.raises(DataError, match=f"prices.csv, line 3: missing or "
+                           f"non-finite price {price}"):
+            read_price_csv(path)
+
     def test_rows_in_any_order(self, tmp_path):
         path = tmp_path / "prices.csv"
         cells = {(d, tick, s): 100 * i + 10 * j + s
