@@ -377,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a-values", type=str, default="0.1,0.3,0.5,0.7,0.9")
     sp.add_argument("--b-values", type=str, default="0,0.25,0.5,0.75,1,1.5,2")
     sp.add_argument("--sigma", type=float, default=1.0)
-    sp.add_argument("--theta-grid", type=int, default=1024)
+    sp.add_argument("--theta-grid", type=int, default=1024,
+                    help="size of the theta grid on [-pi, pi], at least 64; "
+                         "an odd size includes theta = 0")
     _add_common(sp)
     sp.set_defaults(func=cmd_stability)
 

@@ -6,6 +6,13 @@ of the largest eigenvalue of 2 pi S0^{-1/2} f(theta) S0^{-1/2}, where S0
 solves the discrete Lyapunov equation S0 = C S0 C^T + noise_cov and f is the
 spectral density matrix.  It equals 1 for temporally independent processes
 and grows with the strength of the dependence.
+
+The measure is evaluated on the non-positive half of the theta grid.  With C
+and noise_cov real, f(-theta) is the complex conjugate of f(theta), and the
+two have the same eigenvalues, so the other half adds nothing.  Each
+frequency costs one linear solve with A(theta) = I - e^{-i theta} C and no
+inverse, and the frequencies are batched so that no (batch, d, d) complex
+array exceeds ``_BATCH_BYTES``.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec
-from .errors import ConfigError, NonstationaryError, NumericalError
+from .errors import ConfigError, DataError, NonstationaryError, NumericalError
 
 
 @dataclass
@@ -123,6 +130,47 @@ def var1_stationary_cov(C: np.ndarray, noise_cov: np.ndarray,
     raise NumericalError("Lyapunov doubling iteration did not converge")
 
 
+def _check_system(C, noise_cov) -> tuple[np.ndarray, np.ndarray]:
+    """C and noise_cov as float arrays: square, of one shape and finite."""
+    C = np.asarray(C, dtype=float)
+    N = np.asarray(noise_cov, dtype=float)
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or C.size == 0:
+        raise DataError(f"C must be a non-empty square matrix; got shape {C.shape}")
+    if N.shape != C.shape:
+        raise DataError(f"noise_cov has shape {N.shape}; C has shape {C.shape}")
+    for name, mat in (("C", C), ("noise_cov", N)):
+        if not np.all(np.isfinite(mat)):
+            raise DataError(f"{name} has non-finite entries")
+    return C, N
+
+
+def _check_subset(subset, d: int) -> np.ndarray:
+    """The coordinates of ``subset`` (all d when None) as an index array."""
+    if subset is None:
+        return np.arange(d)
+    idx = np.asarray(list(subset), dtype=int)
+    if idx.size == 0:
+        raise ConfigError("subset is empty")
+    if idx.min() < 0 or idx.max() >= d:
+        raise ConfigError(f"subset {idx.tolist()} is out of range for d={d}")
+    if np.unique(idx).size != idx.size:
+        raise ConfigError(f"subset {idx.tolist()} repeats a coordinate")
+    return idx
+
+
+def _density_forms(C: np.ndarray, N: np.ndarray, thetas: np.ndarray,
+                   left: np.ndarray) -> np.ndarray:
+    """B N B^H with B = left A(theta)^{-1} and A(theta) = I - e^{-i theta} C,
+    stacked over ``thetas``: 2 pi left f(theta) left^T.
+
+    B is the transpose of the solution of A(theta)^T X = left^T, one solve
+    per theta and no inverse.
+    """
+    A = np.eye(C.shape[0]) - np.exp(-1j * thetas)[:, None, None] * C
+    B = np.linalg.solve(A.transpose(0, 2, 1), left.T).transpose(0, 2, 1)
+    return B @ N @ B.conj().transpose(0, 2, 1)
+
+
 def var1_spectral_density(C: np.ndarray, noise_cov: np.ndarray,
                           theta: float) -> np.ndarray:
     """Spectral density matrix of the VAR(1) process at frequency theta.
@@ -130,18 +178,11 @@ def var1_spectral_density(C: np.ndarray, noise_cov: np.ndarray,
     Uses the closed geometric form f = (2 pi)^{-1} A^{-1} N A^{-H} with
     A = I - C e^{-i theta}, equal to the two-sided autocovariance series.
     """
-    C = np.asarray(C, dtype=float)
+    C, N = _check_system(C, noise_cov)
     if spectral_radius_matrix(C) >= 1.0:
         raise NonstationaryError("spectral radius >= 1; no stationary solution")
-    return _spectral_density(C, np.asarray(noise_cov, dtype=float), theta)
-
-
-def _spectral_density(C: np.ndarray, N: np.ndarray, theta: float) -> np.ndarray:
-    """The density formula of ``var1_spectral_density`` on float arrays,
-    without its stationarity check."""
-    A = np.eye(C.shape[0]) - C * np.exp(-1j * theta)
-    Ainv = np.linalg.inv(A)
-    f = Ainv @ N @ Ainv.conj().T / (2.0 * np.pi)
+    f = _density_forms(C, N, np.array([theta], dtype=float),
+                       np.eye(C.shape[0]))[0] / (2.0 * np.pi)
     return 0.5 * (f + f.conj().T)
 
 
@@ -152,36 +193,49 @@ def _sym_inv_sqrt(S: np.ndarray) -> np.ndarray:
     return (V * w ** -0.5) @ V.T
 
 
+# Largest (theta, d, d) complex array one batch of frequencies may build:
+# every theta of a 2x2 system at once, one theta at a time at d=100.  Larger
+# batches raise the peak memory and gain nothing once d is large.
+_BATCH_BYTES = 256 * 1024
+
+
 def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
                            theta_grid_size: int = 1024,
                            subset=None) -> StabilityReport:
     """Grid maximum of the normalized spectral Rayleigh quotient.
 
-    When ``subset`` is given the process is restricted to those coordinates
-    (the stability measure of the subprocess); the restriction applies to the
-    spectral density and the stationary covariance alike.  Stationarity is
-    checked once, by the stationary covariance.
+    The grid is ``np.linspace(-pi, pi, theta_grid_size)``, of which only the
+    first ceil(theta_grid_size / 2) points are evaluated: f(-theta) is the
+    conjugate of f(theta) and has the same eigenvalues.  An odd size keeps
+    theta = 0.  ``argmax_theta`` is the non-positive member of the mirrored
+    pair {theta, -theta} that attains the maximum.
+
+    At each theta the whitened density is M = B N B^H with
+    B = S0_idx^{-1/2} E_idx A(theta)^{-1}, where E_idx selects the
+    coordinates of ``subset`` (all of them when None), so the measure of a
+    subprocess restricts the spectral density and the stationary covariance
+    alike.  B comes from one solve with A(theta)^T, and the frequencies are
+    batched under ``_BATCH_BYTES``.  Stationarity is checked once, by the
+    stationary covariance.
     """
     if theta_grid_size < 64:
         raise ConfigError("theta grid size must be at least 64")
-    C = np.asarray(C, dtype=float)
-    N = np.asarray(noise_cov, dtype=float)
+    C, N = _check_system(C, noise_cov)
+    d = C.shape[0]
+    idx = _check_subset(subset, d)
     S0 = var1_stationary_cov(C, N)
-    idx = np.arange(C.shape[0]) if subset is None else np.asarray(list(subset), dtype=int)
-    root = _sym_inv_sqrt(S0[np.ix_(idx, idx)])
+    left = np.zeros((idx.size, d))
+    left[:, idx] = _sym_inv_sqrt(S0[np.ix_(idx, idx)])
 
-    thetas = np.linspace(-np.pi, np.pi, theta_grid_size)
-    best = -np.inf
-    best_theta = thetas[0]
-    for theta in thetas:
-        f = _spectral_density(C, N, theta)[np.ix_(idx, idx)]
-        mat = 2.0 * np.pi * root @ f @ root
-        lam = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[-1])
-        if lam > best:
-            best = lam
-            best_theta = float(theta)
+    thetas = np.linspace(-np.pi, np.pi, theta_grid_size)[: (theta_grid_size + 1) // 2]
+    batch = max(1, _BATCH_BYTES // (16 * d * d))
+    tops = np.concatenate([
+        np.linalg.eigvalsh(_density_forms(C, N, thetas[i: i + batch], left))[:, -1]
+        for i in range(0, thetas.size, batch)])
+    best = int(np.argmax(tops))
     lambda0 = float(np.max(np.diag(S0)[idx]))
-    return StabilityReport(value=best, argmax_theta=best_theta,
+    return StabilityReport(value=float(tops[best]),
+                           argmax_theta=-abs(float(thetas[best])),
                            theta_grid_size=theta_grid_size, lambda0=lambda0)
 
 
@@ -196,6 +250,12 @@ def stability_sweep(a_values, b_values, sigma: float = 1.0,
     """Operator norm and stability measure over the two-parameter family
     C = [[a, b], [0, a]] with isotropic noise; returns rows
     (a, b, operator_norm, stability)."""
+    for name, values in (("a_values", a_values), ("b_values", b_values),
+                         ("sigma", [sigma])):
+        if not np.all(np.isfinite(np.asarray(values, dtype=float))):
+            raise ConfigError(f"{name} must be finite; got {list(values)}")
+    if sigma == 0:
+        raise ConfigError("sigma must be nonzero: zero noise has no stationary covariance")
     rows = []
     noise = sigma ** 2 * np.eye(2)
     for a in a_values:

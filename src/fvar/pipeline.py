@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisSpec
+from .errors import DataError
 from .fpca import cross_validate, fit_regularized_fpca
 from .panel import CurvePanel
 from .solver import (DesignSet, FitResult, KernelEstimate, build_design,
@@ -46,7 +47,15 @@ def fpca_panel(panel: CurvePanel, basis: BasisSpec, q_grid, eta_grid,
     which amplifies a direction by 1 / sqrt(lambda_l / lambda_1), so keeping
     near-degenerate components injects unbounded noise into the recovered
     kernels.
+
+    A variable whose curves are the same at every time point has no
+    variance to decompose and is a ``DataError``.
     """
+    constant = np.ptp(panel.values, axis=0).max(axis=1) == 0
+    if constant.any():
+        j = int(np.argmax(constant))
+        raise DataError(f"variable {j} ({panel.ids[j]}) has zero variance: "
+                        f"its curves are the same at every time point")
     q_grid = [int(q) for q in q_grid]
     eta_grid = [float(e) for e in eta_grid]
 

@@ -4,8 +4,9 @@ Everything here is deliberately written against the mathematical definitions
 rather than the package internals: de Boor recursion for B-splines, dense-grid
 quadrature for Gram matrices, cyclic blockwise proximal coordinate descent for
 the group lasso, and a trace-based characteristic polynomial for spectral
-radii.  ``fista_loop``, ``kkt_loop`` and the FPCA refits are the package's
-earlier, slower formulations, kept as references its faster ones must match.
+radii.  ``fista_loop``, ``kkt_loop``, the FPCA refits, ``stability_loop`` and
+``simulate_scores_loop`` are the package's earlier, slower formulations, kept
+as references its faster ones must match.
 """
 
 import numpy as np
@@ -282,3 +283,42 @@ def cross_validate_refit(delta, curves, B, grams, q_grid, eta_grid, folds, seed)
                 total += float(np.sum((curves[test] - pred) ** 2))
             table.append((q, eta, total / (folds * B.shape[0])))
     return table
+
+
+def stability_loop(C, N, theta_grid_size, subset=None):
+    """The stability measure on the full theta grid, one frequency at a time:
+    invert A = I - e^{-i theta} C, form 2 pi f = A^{-1} N A^{-H}, restrict it
+    and the stationary covariance (from ``lyapunov_series``) to ``subset``,
+    whiten and take the top eigenvalue.  Returns (value, argmax_theta), the
+    argmax being the first grid point that attains the maximum."""
+    C = np.asarray(C, dtype=float)
+    N = np.asarray(N, dtype=float)
+    d = C.shape[0]
+    idx = np.arange(d) if subset is None else np.asarray(list(subset), dtype=int)
+    S0 = lyapunov_series(C, N)[np.ix_(idx, idx)]
+    w, V = np.linalg.eigh(0.5 * (S0 + S0.T))
+    root = (V * w ** -0.5) @ V.T
+    best, best_theta = -np.inf, None
+    for theta in np.linspace(-np.pi, np.pi, theta_grid_size):
+        Ainv = np.linalg.inv(np.eye(d) - C * np.exp(-1j * theta))
+        f2pi = (Ainv @ N @ Ainv.conj().T)[np.ix_(idx, idx)]
+        mat = root @ f2pi @ root
+        lam = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[-1])
+        if lam > best:
+            best, best_theta = lam, float(theta)
+    return best, best_theta
+
+
+def simulate_scores_loop(n, p, lams, ar, rng):
+    """The AR(1) score fixture of ``fvar.harness`` one time step at a time:
+    x[0] from the stationary law, then x[t] = ar x[t-1] + shock."""
+    q0 = lams.size
+    if ar == 0.0:
+        return rng.standard_normal((n, p, q0)) * np.sqrt(lams)
+    x = np.empty((n, p, q0))
+    innov_sd = np.sqrt(lams * (1.0 - ar * ar))
+    x[0] = rng.standard_normal((p, q0)) * np.sqrt(lams)
+    shocks = rng.standard_normal((n - 1, p, q0)) * innov_sd
+    for t in range(1, n):
+        x[t] = ar * x[t - 1] + shocks[t - 1]
+    return x

@@ -197,15 +197,18 @@ class TestFit:
             assert fit.iterations == f["iterations"]
             assert max(kkt_residuals(design, fit)) <= 1e-6 * (1 + 1.0)
 
-    def test_degenerate_variable_is_numerical_error(self, tmp_path):
+    @pytest.mark.parametrize("command", ["fit", "path"])
+    def test_constant_variable_is_data_error(self, tmp_path, capsys, command):
         rng = np.random.default_rng(0)
-        values = rng.standard_normal((30, 2, 12))
-        values[:, 1, :] = 1.0  # constant variable -> degenerate score Gram
+        values = rng.standard_normal((30, 3, 12))
+        values[:, 1, :] = 3.0  # no variance left to decompose
         panel = CurvePanel(values=values, grid=np.linspace(0, 1, 12))
         panel.to_npz(tmp_path / "panel.npz")
-        assert run("fit", "--panel", tmp_path / "panel.npz", "--basis",
+        assert run(command, "--panel", tmp_path / "panel.npz", "--basis",
                    "bspline", "--basis-dim", 6, "--q", 2, "--eta", 0.0,
-                   "--gamma", 1.0, "--out", tmp_path / "out") == 3
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "variable 1 (x1) has zero variance" in err
 
 
 class TestPathAndSelect:
@@ -271,6 +274,14 @@ class TestStability:
         first = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(first["stability_measure"]) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--a-values", "nan", "a_values"), ("--b-values", "0,inf", "b_values"),
+        ("--sigma", "0", "sigma"), ("--sigma", "nan", "sigma"),
+        ("--theta-grid", "32", "theta grid")])
+    def test_bad_argument_is_config_error(self, tmp_path, capsys, flag, value, name):
+        assert run("stability", flag, value, "--out", tmp_path) == 2
+        assert name in capsys.readouterr().err
+
 
 class TestVerifyConcentration:
     def test_report_written(self, tmp_path):
@@ -283,6 +294,15 @@ class TestVerifyConcentration:
                                          "score_scaled"}
         assert report["compare"]["stability"] == 3.0
         assert (out / "rates.csv").exists()
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--reps", "0", "reps"), ("--p", "0", "p must"), ("--q0", "0", "q0"),
+        ("--ns", "250,250", "ns"), ("--ns", "0,100", "ns"),
+        ("--alpha", "nan", "alpha")])
+    def test_bad_argument_is_config_error(self, tmp_path, capsys, flag, value, name):
+        assert run("verify-concentration", "--ns", "50,100", "--reps", 2,
+                   flag, value, "--out", tmp_path) == 2
+        assert name in capsys.readouterr().err
 
 
 class TestIngestCidr:

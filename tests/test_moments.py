@@ -4,15 +4,28 @@ import numpy as np
 import pytest
 
 from fvar.basis import BasisSpec
-from fvar.errors import ConfigError, NonstationaryError
+from fvar.errors import ConfigError, DataError, NonstationaryError
 from fvar.fpca import fit_regularized_fpca
 from fvar.moments import (autocov_empirical, operator_norm_var1_kernel,
                           score_autocov, stability_measure_var1,
-                          var1_spectral_density, var1_stationary_cov)
+                          stability_sweep, var1_spectral_density,
+                          var1_stationary_cov)
 
-from oracles import lyapunov_series
+from oracles import lyapunov_series, stability_loop
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BASIS = BasisSpec("fourier", 4)
+
+
+def random_system(d, radius=0.8, seed=0):
+    """A dense VAR(1) transition with the given spectral radius and a
+    correlated, well-conditioned noise covariance."""
+    rng = np.random.default_rng(seed + d)
+    C = rng.standard_normal((d, d))
+    C *= radius / np.max(np.abs(np.linalg.eigvals(C)))
+    M = rng.standard_normal((d, d))
+    return C, M @ M.T / d + 0.5 * np.eye(d)
 
 
 def appendix_S0(a, b):
@@ -213,6 +226,53 @@ class TestStabilityMeasure:
     def test_small_grid_rejected(self):
         with pytest.raises(ConfigError):
             stability_measure_var1(np.zeros((2, 2)), np.eye(2), 32)
+
+    @pytest.mark.parametrize("G", [64, 65, 256, 1024, 1025])
+    @pytest.mark.parametrize("d, subset", [
+        (1, None), (1, [0]), (2, None), (2, [1]), (12, None), (12, [7, 0, 3, 11])])
+    def test_half_grid_matches_full_grid_loop(self, d, subset, G):
+        C, N = random_system(d)
+        rep = stability_measure_var1(C, N, G, subset=subset)
+        value, theta = stability_loop(C, N, G, subset)
+        assert abs(rep.value - value) <= 1e-10 * value
+        assert rep.argmax_theta <= 0
+        assert rep.argmax_theta == pytest.approx(-abs(theta), abs=1e-12)
+
+    @pytest.mark.parametrize("C, N", [
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), np.eye(2)),
+        (np.zeros((2, 2)), np.diag([1.0, np.inf])),
+        (np.zeros((2, 3)), np.eye(2)),
+        (np.zeros((2, 2)), np.eye(3)),
+        (np.zeros(2), np.eye(2)),
+    ])
+    def test_malformed_system_rejected(self, C, N):
+        with pytest.raises(DataError):
+            stability_measure_var1(C, N, 64)
+        with pytest.raises(DataError):
+            var1_spectral_density(C, N, 0.5)
+
+    @pytest.mark.parametrize("subset", [[], [2], [-1], [0, 0]])
+    def test_malformed_subset_rejected(self, subset):
+        with pytest.raises(ConfigError):
+            stability_measure_var1(0.5 * np.eye(2), np.eye(2), 64, subset=subset)
+
+
+class TestStabilitySweep:
+    def test_rows_match_the_measure(self):
+        rows = stability_sweep([0.0, 0.5], [0.0, 1.0], sigma=2.0, theta_grid_size=64)
+        assert [r[:2] for r in rows] == [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0)]
+        for a, b, norm, value in rows:
+            C = np.array([[a, b], [0.0, a]])
+            assert norm == operator_norm_var1_kernel(C)
+            assert value == stability_measure_var1(C, 4.0 * np.eye(2), 64).value
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(a_values=[np.nan]), "a_values"), (dict(b_values=[0.0, np.inf]), "b_values"),
+        (dict(sigma=0.0), "sigma"), (dict(sigma=np.nan), "sigma")])
+    def test_bad_arguments_rejected(self, kwargs, name):
+        args = dict(a_values=[0.5], b_values=[0.0], sigma=1.0) | kwargs
+        with pytest.raises(ConfigError, match=name):
+            stability_sweep(**args, theta_grid_size=64)
 
 
 class TestOperatorNorm:
