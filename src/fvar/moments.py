@@ -249,13 +249,26 @@ def stability_sweep(a_values, b_values, sigma: float = 1.0,
                     theta_grid_size: int = 1024):
     """Operator norm and stability measure over the two-parameter family
     C = [[a, b], [0, a]] with isotropic noise; returns rows
-    (a, b, operator_norm, stability)."""
+    (a, b, operator_norm, stability).
+
+    The inputs are checked before any solve: both value lists nonempty and
+    finite, sigma finite and positive, and every pair stationary (the
+    spectral radius of C is |a|)."""
+    for name, values in (("a_values", a_values), ("b_values", b_values)):
+        if len(values) == 0:
+            raise ConfigError(f"{name} is empty; give at least one value")
     for name, values in (("a_values", a_values), ("b_values", b_values),
                          ("sigma", [sigma])):
         if not np.all(np.isfinite(np.asarray(values, dtype=float))):
             raise ConfigError(f"{name} must be finite; got {list(values)}")
-    if sigma == 0:
-        raise ConfigError("sigma must be nonzero: zero noise has no stationary covariance")
+    if not sigma > 0:
+        raise ConfigError(f"sigma must be positive; got {sigma}")
+    for a in a_values:
+        if abs(a) >= 1:
+            raise ConfigError(
+                f"a_values: the (a, b) pair ({a}, {b_values[0]}) has spectral "
+                f"radius |a| = {abs(a)} >= 1, as has every pair with a = {a}; "
+                f"no stationary solution")
     rows = []
     noise = sigma ** 2 * np.eye(2)
     for a in a_values:

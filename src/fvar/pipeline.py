@@ -1,8 +1,10 @@
 """End-to-end orchestration: per-variable FPCA, row fits, path sweeps.
 
-The p per-variable FPCA fits and the p row problems are independent, so both
-parallelize over a thread pool with read-only shared state; results are
-keyed by variable index, making the output independent of the schedule.
+The p per-variable FPCA fits, and the p row fits at a fixed gamma, are
+independent, so both parallelize over a thread pool with read-only shared
+state; results are keyed by variable index, making the output independent
+of the schedule.  Regularization paths use no pool: one batched solve per
+path index serves every row (``solver.regularization_path``).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from .basis import BasisSpec
 from .errors import DataError
 from .fpca import cross_validate, fit_regularized_fpca
 from .panel import CurvePanel
-from .solver import (DesignSet, FitResult, KernelEstimate, build_design,
-                     default_gamma_grid, fit_row, recover_kernels,
-                     regularization_path, select_gamma)
+from .solver import (DesignSet, FitResult, KernelEstimate, best_fit,
+                     build_design, check_criterion, fit_row, recover_kernels,
+                     regularization_path)
 
 
 @dataclass
@@ -93,24 +95,21 @@ def fit_rows(design: DesignSet, gamma: float | None = None,
     """Fit every row, either at a fixed gamma or at the IC-selected one.
 
     Returns (fits, ic_rows) where ic_rows holds one (j, gamma, rss, df, aic,
-    bic) record per evaluated path point.
+    bic) record per evaluated path point.  Only the fixed-gamma fits use
+    ``threads``.
     """
-    ic_rows = []
-
-    def one(j: int):
-        if gamma is not None:
-            return fit_row(j, design, gamma, tol=tol, max_iter=max_iter), []
-        best, path = select_gamma(design, j, criterion=criterion,
-                                  n_gammas=n_gammas, min_ratio=min_ratio,
-                                  tol=tol, max_iter=max_iter)
-        rows = [(j, f.gamma, f.rss, f.df, f.aic, f.bic) for f in path]
-        return best, rows
-
-    results = _map_indexed(one, design.p, threads)
-    fits = [r[0] for r in results]
-    for r in results:
-        ic_rows.extend(r[1])
-    return fits, ic_rows
+    if gamma is not None:
+        fits = _map_indexed(lambda j: fit_row(j, design, gamma, tol=tol,
+                                              max_iter=max_iter),
+                            design.p, threads)
+        return fits, []
+    check_criterion(criterion)
+    paths = regularization_path(design, range(design.p), n_gammas=n_gammas,
+                                min_ratio=min_ratio, tol=tol,
+                                max_iter=max_iter)
+    ic_rows = [(f.j, f.gamma, f.rss, f.df, f.aic, f.bic)
+               for path in paths for f in path]
+    return [best_fit(path, criterion) for path in paths], ic_rows
 
 
 def sweep_path(design: DesignSet, kl_models, n_gammas: int = 50,
@@ -119,15 +118,14 @@ def sweep_path(design: DesignSet, kl_models, n_gammas: int = 50,
     """Row-wise regularization paths plus one kernel estimate per path index.
 
     Each row uses its own geometric grid from its own gamma_max, so path
-    index i combines the i-th strongest penalty of every row.
+    index i combines the i-th strongest penalty of every row.  ``threads``
+    is accepted but not read: all rows are solved together, one batched
+    solve per path index.
     """
-    def one(j: int):
-        grid = default_gamma_grid(design, j, n_gammas, min_ratio)
-        return regularization_path(design, j, gamma_grid=grid, tol=tol,
-                                   max_iter=max_iter)
-
-    paths = _map_indexed(one, design.p, threads)
-    estimates = [recover_kernels([paths[j][i] for j in range(design.p)], kl_models)
+    paths = regularization_path(design, range(design.p), n_gammas=n_gammas,
+                                min_ratio=min_ratio, tol=tol,
+                                max_iter=max_iter)
+    estimates = [recover_kernels([path[i] for path in paths], kl_models)
                  for i in range(n_gammas)]
     return paths, estimates
 

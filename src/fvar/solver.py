@@ -15,11 +15,24 @@ the factor sqrt(n - L) (raw = standardized / sqrt(n - L)).
 The solver is a restart-based block FISTA: gradient step, blockwise group
 soft-threshold, momentum extrapolation, and a restart that drops the
 momentum whenever trace{(X - Xt_new)^T (Xt_new - Xt)} > 0.  It is written
-once in numpy and works on whole arrays per iteration: block norms through
-``np.add.reduceat`` over the block offsets and the blockwise shrink factors
-spread back to rows with ``np.repeat``, so an iteration costs a few matrix
-products plus a fixed number of numpy calls, independent of the number of
-blocks.
+once in numpy and solves a batch of rows at once.  The rows share the
+design, its Gram matrix and the step size, and differ only in B^T Y_j and
+gamma, so their coefficients are stacked side by side as the columns of one
+(r, sum_j q_j) array:
+
+- one Gram product per iteration serves every row.  G Xt feeds the
+  objective, and G X, the gradient's product, is extrapolated with the same
+  momentum weight as X instead of being recomputed.  The working arrays
+  hold the transposes, one contiguous row per column of X;
+- the (block, row) norms are a 0/1 block-membership product followed by a
+  sum over each row's columns;
+- momentum, restart, rejection and convergence are per-row vectors, so
+  each row takes exactly the steps it would take alone, up to rounding;
+- a row that has converged is frozen and its columns are compacted out of
+  the working arrays.
+
+``regularization_path`` walks the rows' warm-started gamma grids together,
+one batched solve per grid index; a single row is the batch of one.
 """
 
 from __future__ import annotations
@@ -37,6 +50,8 @@ from .errors import ConfigError, NumericalError
 from .fpca import KLModel
 
 IC_FLOOR = 1e-300
+# row-wise dot products of two 2-d arrays; numpy < 2 has no vecdot
+_rowdot = getattr(np, "vecdot", lambda a, b: np.einsum("ij,ij->i", a, b))
 # relative objective increase, on the scale of ||Y||_F^2, that a
 # momentum-free step may show at the optimum through rounding alone
 STALL_RTOL = 1e-12
@@ -221,122 +236,217 @@ def accel_backend() -> str:
 
 @dataclass
 class SolveInfo:
+    """Result of one batched solve of independent row problems.
+
+    ``x`` stacks the row solutions column-wise as ``hmat`` does;
+    ``iterations`` is the sum of the per-row iteration counts."""
+
     x: np.ndarray
-    objective_trace: np.ndarray
+    traces: list               # per row, objective at each proximal point
+    row_iterations: np.ndarray
+    row_converged: np.ndarray
     iterations: int
-    converged: bool
+
+    @property
+    def objective_trace(self) -> np.ndarray:
+        """The trace of a one-row solve."""
+        (trace,) = self.traces
+        return trace
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.row_converged.all())
 
 
-def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq: float,
-                     offsets: np.ndarray, gamma: float, step: float,
-                     tol: float = 1e-8, max_iter: int = 10000,
-                     x0: np.ndarray | None = None) -> SolveInfo:
-    """Minimize 0.5*||Y - B X||_F^2 + gamma * sum_k ||X_k||_F blockwise.
-
-    Works on the Gram form: ``gram = B.T @ B``, ``hmat = B.T @ Y`` and
-    ``ynorm_sq = ||Y||_F^2``, so the data matrix itself is never touched
-    inside the iteration.  ``offsets`` delimits the row blocks of X and
-    must rise strictly from 0 to the row count of ``hmat``.
-
-    Per iteration: gradient step from the extrapolated point, blockwise
-    group soft-threshold with threshold gamma*step, momentum update
-    theta -> (1 + sqrt(1 + 4 theta^2))/2, extrapolation, and a restart
-    whenever trace{(X - Xt_new)^T (Xt_new - Xt)} > 0, in which case the
-    accumulated momentum is dropped (X kept at the previous iterate,
-    theta reset to 1).  It stops when the relative objective change falls
-    below ``tol`` or when a momentum-free step cannot lower the objective
-    beyond rounding; a momentum-free step that raises it materially means
-    the step size exceeds the inverse Lipschitz bound and raises
-    NumericalError.
-
-    ``objective_trace`` holds the objective at each proximal point, entry 0
-    at ``x0``.
-    """
-    if gamma < 0:
-        raise ConfigError("gamma must be nonnegative")
+def _check_offsets(offsets, end: int, what: str) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=np.int64)
     if (offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0
-            or offsets[-1] != hmat.shape[0] or np.any(np.diff(offsets) < 1)):
-        raise ConfigError("block offsets must rise strictly from 0 to the "
-                          "number of design columns")
-    starts = offsets[:-1]
+            or offsets[-1] != end or np.any(np.diff(offsets) < 1)):
+        raise ConfigError(f"{what} offsets must rise strictly from 0 to {end}")
+    return offsets
+
+
+def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
+                     gamma, step: float, tol: float = 1e-8,
+                     max_iter: int = 10000, x0: np.ndarray | None = None,
+                     col_offsets=None, row_ids=None) -> SolveInfo:
+    """Minimize 0.5*||Y_b - B X_b||_F^2 + gamma_b * sum_k ||X_bk||_F
+    blockwise, for each row problem b of a batch sharing the design B.
+
+    Works on the Gram form: ``gram = B.T @ B``, which must be symmetric;
+    ``hmat`` stacks the ``B.T @ Y_b`` column-wise, with row b in columns
+    ``col_offsets[b]:col_offsets[b+1]`` (one row when ``col_offsets`` is
+    None), and ``ynorm_sq`` and ``gamma`` hold ||Y_b||_F^2 and gamma_b, one
+    value per row or one for all.  ``offsets`` delimits the row blocks of X
+    and must rise strictly from 0 to the row count of ``hmat``; ``row_ids``
+    names the rows in error messages (default 0, 1, ...).
+
+    Per iteration and row: gradient step from the extrapolated point,
+    blockwise group soft-threshold with threshold gamma*step, momentum
+    update theta -> (1 + sqrt(1 + 4 theta^2))/2, extrapolation, and a
+    restart whenever trace{(X - Xt_new)^T (Xt_new - Xt)} > 0, in which case
+    the accumulated momentum is dropped (X kept at the previous iterate,
+    theta reset to 1).  A row stops when its relative objective change
+    falls below ``tol`` or when a momentum-free step cannot lower its
+    objective beyond rounding; a momentum-free step that raises it
+    materially means the step size exceeds the inverse Lipschitz bound and
+    raises NumericalError naming the row.
+
+    ``traces[b]`` holds row b's objective at each proximal point, entry 0
+    at ``x0``.
+    """
+    hmat = np.asarray(hmat, dtype=float)
+    r, width = hmat.shape
+    offsets = _check_offsets(offsets, r, "block")
+    col_offsets = _check_offsets([0, width] if col_offsets is None
+                                 else col_offsets, width, "column")
+    n_rows = col_offsets.size - 1
+    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (n_rows,))
+    if not np.all(gamma >= 0):
+        raise ConfigError("gamma must be nonnegative")
+    yn = np.broadcast_to(np.asarray(ynorm_sq, dtype=float), (n_rows,))
+    row_ids = list(range(n_rows)) if row_ids is None else list(row_ids)
+    widths = np.diff(col_offsets)
     sizes = np.diff(offsets)
-    tau = gamma * step
+    # 0/1 block membership: a @ member sums the columns of a block by block
+    member = np.zeros((r, sizes.size))
+    member[np.arange(r), np.repeat(np.arange(sizes.size), sizes)] = 1.0
+
+    # The working arrays hold X^T, one contiguous row per hmat column, so
+    # per-column factors broadcast along r; gram is symmetric, so
+    # xt @ gram = (G Xt)^T.
+    # They keep the columns of the rows still running: ``active`` names
+    # those rows, ``cols`` the hmat columns they occupy.
+    active = np.arange(n_rows)
+    cols = np.arange(width)
+    ht = np.ascontiguousarray(hmat.T)
+    h2 = 2.0 * ht
+    tau = (gamma * step)[:, None]
     # z blocks at or below tau shrink to zero: 1 - tau/max(norm, tau) = 0;
     # with tau = 0 nothing shrinks and the floor only keeps 0/0 out
-    floor = tau if tau > 0.0 else 1.0
+    floor = np.where(tau > 0.0, tau, 1.0)
 
-    def objective(xt, penalty):
-        return 0.5 * (ynorm_sq - 2.0 * np.vdot(hmat, xt)
-                      + np.vdot(xt, gram @ xt)) + penalty
+    def layout():
+        """Column starts of the active rows, and each column's row."""
+        w = widths[active]
+        return (np.concatenate([[0], np.cumsum(w)[:-1]]),
+                np.repeat(np.arange(active.size), w))
 
-    # no array is updated in place below, so x and xt may share storage
-    xt = np.zeros_like(hmat) if x0 is None else np.array(x0, dtype=float)
-    x = xt                 # extrapolated iterate X^{(m)}; xt is Xt^{(m)}
-    theta = 1.0
+    starts, col_row = layout()
 
-    trace = np.empty(max_iter + 1)
-    g_prev = objective(xt, gamma * np.sum(np.sqrt(block_sq_norms(xt, starts))))
-    trace[0] = g_prev
-    n_trace = 1
-    converged = False
-    skip_check = False
-    pure_step = True  # x holds the last proximal point, no momentum mixed in
+    def row_sums(a, b):
+        return np.add.reduceat(_rowdot(a, b), starts)
+
+    def block_norms(a):
+        """(row, block) Frobenius norms."""
+        return np.sqrt(np.add.reduceat((a * a) @ member, starts, axis=0))
+
+    # gx and gxt hold (G x)^T and (G xt)^T; x and xt may share storage
+    xt = (np.zeros_like(ht) if x0 is None
+          else np.array(np.asarray(x0, dtype=float).T, order="C"))
+    gxt = xt @ gram
+    x, gx = xt, gxt
+    g_prev = (0.5 * (yn + row_sums(xt, gxt - h2))
+              + gamma * block_norms(xt).sum(axis=1))
+    if not np.all(np.isfinite(g_prev)):
+        j = row_ids[int(np.argmin(np.isfinite(g_prev)))]
+        raise NumericalError(
+            f"row {j}: objective is not finite at the starting point")
+    g_start = g_prev
+    theta = np.ones(n_rows)
+    pure_step = np.ones(n_rows, dtype=bool)  # x is the last proximal point
+    skip_check = np.zeros(n_rows, dtype=bool)
+    x_out = np.empty_like(ht)
+    converged = np.zeros(n_rows, dtype=bool)
+    # objective histories: one array over the active rows per iteration,
+    # split into epochs at each change of the active set
+    epochs, hist = [], []
 
     for _ in range(max_iter):
-        z = x - step * (gram @ x - hmat)
-        zn = np.sqrt(block_sq_norms(z, starts))
+        z = x - step * (gx - ht)
+        zn = block_norms(z)
         scale = 1.0 - tau / np.maximum(zn, floor)
-        xt_new = z * np.repeat(scale, sizes)[:, None]
-        g_cand = objective(xt_new, gamma * np.vdot(scale, zn))
+        xt_new = z * np.repeat(scale[col_row], sizes, axis=1)
+        gxt_new = xt_new @ gram
+        g_cand = (0.5 * (yn + row_sums(xt_new, gxt_new - h2))
+                  + gamma * _rowdot(scale, zn))
 
-        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        omega = (theta - 1.0) / theta_new
-        restarted = np.vdot(x - xt_new, xt_new - xt) > 0.0
-        rejected = (not math.isfinite(g_cand)) or g_cand > g_prev
-        if rejected and pure_step:
-            # a momentum-free proximal step can only increase the objective
-            # when the stepsize exceeds the inverse Lipschitz bound, or by
-            # rounding at a fixed point of the proximal map
-            if not g_cand - g_prev <= STALL_RTOL * max(ynorm_sq, abs(g_prev)):
-                raise NumericalError("objective diverged; step size too large")
-            trace[n_trace] = g_prev
-            n_trace += 1
-            converged = True
-            break
-        pure_step = rejected
-        if rejected:
-            # the restart test is only a proxy for descent; when the
-            # candidate proximal point increases the objective, drop it and
-            # restart the momentum from the previous proximal point
-            x = xt
-            theta = 1.0
-            g = g_prev
-        elif restarted:
-            theta = 1.0
-            # X^{(m+1)} = X^{(m)}: keep x as is.
-            xt = xt_new
-            g = g_cand
-        else:
-            theta = theta_new
-            x = xt_new + omega * (xt_new - xt)
-            xt = xt_new
-            g = g_cand
-
-        trace[n_trace] = g
-        n_trace += 1
-
-        rel = abs(g_prev - g) / max(abs(g_prev), 1e-12)
-        g_prev = g
+        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        omega = ((theta - 1.0) / theta_new)[col_row, None]
+        advance = xt_new - xt
+        restarted = row_sums(x - xt_new, advance) > 0.0
+        # NaN and inf compare false, so a non-finite candidate is rejected
+        rejected = ~(g_cand <= g_prev)
+        moved = restarted | rejected
         # restarts re-derive the previous proximal point on the next pass,
         # so their zero objective change carries no convergence signal
-        if rel < tol and not skip_check and not restarted and not rejected:
-            converged = True
-            break
-        skip_check = restarted or rejected
+        rel = np.abs(g_prev - g_cand) / np.maximum(np.abs(g_prev), 1e-12)
+        done = (rel < tol) & ~(skip_check | moved)
+        x_ext = xt_new + omega * advance
+        gx_ext = gxt_new + omega * (gxt_new - gxt)
+        if np.count_nonzero(moved):
+            stalled = rejected & pure_step
+            if np.count_nonzero(stalled):
+                # a momentum-free proximal step can only increase the
+                # objective when the stepsize exceeds the inverse Lipschitz
+                # bound, or by rounding at a fixed point of the proximal map
+                bad = stalled & ~(g_cand - g_prev <= STALL_RTOL
+                                  * np.maximum(yn, np.abs(g_prev)))
+                if np.count_nonzero(bad):
+                    j = row_ids[active[int(np.argmax(bad))]]
+                    raise NumericalError(
+                        f"row {j}: objective diverged; step size too large")
+                done |= stalled
+            # the arrays made in this iteration are the only ones written
+            # in place: restarted rows keep x, X^{(m+1)} = X^{(m)}; rejected
+            # rows drop the candidate and restart from the previous
+            # proximal point
+            hold = np.flatnonzero((restarted & ~rejected)[col_row])
+            x_ext[hold] = x[hold]
+            gx_ext[hold] = gx[hold]
+            back = np.flatnonzero(rejected[col_row])
+            x_ext[back] = xt_new[back] = xt[back]
+            gx_ext[back] = gxt_new[back] = gxt[back]
+            theta = np.where(moved, 1.0, theta_new)
+            g = np.where(rejected, g_prev, g_cand)
+        else:
+            theta, g = theta_new, g_cand
+        x, gx, xt, gxt = x_ext, gx_ext, xt_new, gxt_new
+        hist.append(g)
+        g_prev = g
+        pure_step = rejected
+        skip_check = moved
+        if np.count_nonzero(done):
+            # freeze the finished rows and compact their columns out
+            fin = done[col_row]
+            x_out[cols[fin]] = xt[fin]
+            converged[active[done]] = True
+            epochs.append((active, hist))
+            hist = []
+            live, keep = ~fin, ~done
+            x, gx, xt, gxt, ht, h2, cols = (a[live] for a in
+                                            (x, gx, xt, gxt, ht, h2, cols))
+            active, theta, g_prev, pure_step, skip_check, tau, floor, \
+                gamma, yn = (v[keep] for v in (
+                    active, theta, g_prev, pure_step, skip_check, tau, floor,
+                    gamma, yn))
+            if active.size == 0:
+                break
+            starts, col_row = layout()
 
-    return SolveInfo(x=xt, objective_trace=trace[:n_trace].copy(),
-                     iterations=n_trace - 1, converged=converged)
+    x_out[cols] = xt
+    epochs.append((active, hist))
+    parts = [[g_start[b: b + 1]] for b in range(n_rows)]
+    for rows, h in epochs:
+        if h:
+            stacked = np.array(h)
+            for i, b in enumerate(rows):
+                parts[b].append(stacked[:, i])
+    traces = [np.concatenate(p) for p in parts]
+    iterations = np.array([t.size - 1 for t in traces])
+    return SolveInfo(x=np.ascontiguousarray(x_out.T), traces=traces,
+                     row_iterations=iterations,
+                     row_converged=converged, iterations=int(iterations.sum()))
 
 
 def df_from_contributions(vpsi_sq: np.ndarray, group_sizes: np.ndarray,
@@ -361,6 +471,51 @@ def information_criterion(design: DesignSet, fit: "FitResult",
     return n_obs * np.log(max(fit.rss, IC_FLOOR)) + kappa * fit.df
 
 
+def check_solve_options(tol: float | None = None, max_iter: int | None = None,
+                        n_gammas: int | None = None,
+                        min_ratio: float | None = None) -> None:
+    """Raise ConfigError naming the first given solver or path option that
+    is out of range."""
+    def integer(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+    if max_iter is not None and not (integer(max_iter) and max_iter >= 1):
+        raise ConfigError(
+            f"max_iter must be an integer >= 1; got {max_iter!r}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0; got {tol!r}")
+    if n_gammas is not None and not (integer(n_gammas) and n_gammas >= 1):
+        raise ConfigError(
+            f"n_gammas must be an integer >= 1; got {n_gammas!r}")
+    if min_ratio is not None and not 0 < min_ratio <= 1:
+        raise ConfigError(f"min_ratio must lie in (0, 1]; got {min_ratio!r}")
+
+
+def check_criterion(criterion: str) -> None:
+    if criterion not in ("aic", "bic"):
+        raise ConfigError("criterion must be 'aic' or 'bic'")
+
+
+def _fit_result(design: DesignSet, j: int, gamma: float, X: np.ndarray,
+                trace: np.ndarray, iterations: int,
+                converged: bool) -> FitResult:
+    """Row j's solution X with its selection summaries (df, AIC, BIC)."""
+    Y = design.responses[j]
+    resid = Y - design.design @ X
+    vpsi_sq = design.n_eff * block_sq_norms(X, design.offsets[:-1])
+    fit = FitResult(j=j, gamma=gamma, psi_stacked=design.unstandardize @ X,
+                    offsets=design.offsets, p=design.p, coeffs_std=X,
+                    objective_trace=trace, iterations=iterations,
+                    converged=converged, rss=float(np.sum(resid * resid)),
+                    vpsi_sq=vpsi_sq,
+                    df=df_from_contributions(
+                        vpsi_sq, design.block_sizes() * Y.shape[1], gamma),
+                    aic=0.0, bic=0.0)
+    fit.aic = information_criterion(design, fit, 2.0)
+    fit.bic = information_criterion(design, fit, np.log(design.n))
+    return fit
+
+
 def fit_row(j: int, design: DesignSet, gamma: float, tol: float = 1e-8,
             max_iter: int = 10000, x0: np.ndarray | None = None) -> FitResult:
     """Solve row j at the given (standardized-units) gamma and attach the
@@ -371,25 +526,13 @@ def fit_row(j: int, design: DesignSet, gamma: float, tol: float = 1e-8,
     count (n - L) * q_j of the row regression, with kappa = 2 for AIC and
     log(n) for BIC.
     """
+    check_solve_options(tol, max_iter)
     Y = design.responses[j]
-    hmat = design.design.T @ Y
-    info = block_fista_gram(design.gram, hmat, float(np.sum(Y * Y)),
-                            design.offsets, gamma, design.step_size(),
-                            tol, max_iter, x0)
-    X = info.x
-    resid = Y - design.design @ X
-    vpsi_sq = design.n_eff * block_sq_norms(X, design.offsets[:-1])
-    fit = FitResult(j=j, gamma=gamma, psi_stacked=design.unstandardize @ X,
-                    offsets=design.offsets, p=design.p, coeffs_std=X,
-                    objective_trace=info.objective_trace,
-                    iterations=info.iterations, converged=info.converged,
-                    rss=float(np.sum(resid * resid)), vpsi_sq=vpsi_sq,
-                    df=df_from_contributions(
-                        vpsi_sq, design.block_sizes() * Y.shape[1], gamma),
-                    aic=0.0, bic=0.0)
-    fit.aic = information_criterion(design, fit, 2.0)
-    fit.bic = information_criterion(design, fit, np.log(design.n))
-    return fit
+    info = block_fista_gram(design.gram, design.design.T @ Y,
+                            float(np.sum(Y * Y)), design.offsets, gamma,
+                            design.step_size(), tol, max_iter, x0, row_ids=[j])
+    return _fit_result(design, j, gamma, info.x, info.objective_trace,
+                       info.iterations, info.converged)
 
 
 def gamma_max(design: DesignSet, j: int) -> float:
@@ -404,43 +547,78 @@ def gamma_max(design: DesignSet, j: int) -> float:
 
 def default_gamma_grid(design: DesignSet, j: int, n_gammas: int = 50,
                        min_ratio: float = 1e-3) -> np.ndarray:
+    """``n_gammas`` geometric steps from gamma_max down to min_ratio times
+    it; all zeros when the zero fit is optimal at every gamma."""
+    check_solve_options(n_gammas=n_gammas, min_ratio=min_ratio)
     top = gamma_max(design, j)
     if top <= 0:
-        return np.zeros(1)
+        return np.zeros(n_gammas)
     return np.geomspace(top, top * min_ratio, n_gammas)
 
 
-def regularization_path(design: DesignSet, j: int, gamma_grid=None,
+def regularization_path(design: DesignSet, j, gamma_grid=None,
                         n_gammas: int = 50, min_ratio: float = 1e-3,
                         warm_start: bool = True, tol: float = 1e-8,
-                        max_iter: int = 10000) -> list[FitResult]:
-    """Fits along a descending gamma grid, warm-starting by default."""
+                        max_iter: int = 10000) -> list:
+    """Fits along a descending gamma grid, warm-starting by default.
+
+    ``j`` is one row, for which the fits along its grid are returned, or a
+    sequence of rows, for which one such list per row is returned.  All
+    rows step down their grids together: at each grid index one batched
+    ``block_fista_gram`` solves every row, each warm-started from its own
+    previous point.  ``gamma_grid`` is one grid for all rows or one per
+    row; by default each row uses its own ``default_gamma_grid``.
+    """
+    one = np.ndim(j) == 0
+    rows = [int(j)] if one else [int(b) for b in j]
+    check_solve_options(tol, max_iter)
     if gamma_grid is None:
-        gamma_grid = default_gamma_grid(design, j, n_gammas, min_ratio)
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
-    if np.any(np.diff(gamma_grid) > 0):
+        grids = np.array([default_gamma_grid(design, b, n_gammas, min_ratio)
+                          for b in rows])
+    else:
+        grid = np.atleast_2d(np.asarray(gamma_grid, dtype=float))
+        grids = np.broadcast_to(grid, (len(rows), grid.shape[1]))
+    if grids.shape[1] == 0:
+        raise ConfigError("gamma grid is empty")
+    if np.any(np.diff(grids, axis=1) > 0):
         raise ConfigError("gamma grid must be nonincreasing")
-    fits = []
+
+    responses = [design.responses[b] for b in rows]
+    col_offsets = np.cumsum([0] + [Y.shape[1] for Y in responses])
+    hmat = design.design.T @ np.concatenate(responses, axis=1)
+    ynorm_sq = np.array([float(np.sum(Y * Y)) for Y in responses])
+    paths = [[] for _ in rows]
     x0 = None
-    for gamma in gamma_grid:
-        fit = fit_row(j, design, float(gamma), tol=tol, max_iter=max_iter, x0=x0)
-        fits.append(fit)
+    for gammas in grids.T:
+        info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
+                                gammas, design.step_size(), tol, max_iter, x0,
+                                col_offsets=col_offsets, row_ids=rows)
+        for b, (row, lo, hi) in enumerate(zip(rows, col_offsets,
+                                              col_offsets[1:])):
+            paths[b].append(_fit_result(
+                design, row, float(gammas[b]), info.x[:, lo:hi].copy(),
+                info.traces[b], int(info.row_iterations[b]),
+                bool(info.row_converged[b])))
         if warm_start:
-            x0 = fit.coeffs_std
-    return fits
+            x0 = info.x
+    return paths[0] if one else paths
+
+
+def best_fit(path: list, criterion: str = "bic") -> FitResult:
+    """The first fit of a path that minimizes ``criterion``, "aic" or
+    "bic"."""
+    return path[int(np.argmin([getattr(f, criterion) for f in path]))]
 
 
 def select_gamma(design: DesignSet, j: int, criterion: str = "bic",
                  gamma_grid=None, n_gammas: int = 50, min_ratio: float = 1e-3,
                  tol: float = 1e-8, max_iter: int = 10000):
     """Minimize AIC or BIC along the path; returns (best fit, path)."""
-    if criterion not in ("aic", "bic"):
-        raise ConfigError("criterion must be 'aic' or 'bic'")
+    check_criterion(criterion)
     path = regularization_path(design, j, gamma_grid=gamma_grid,
                                n_gammas=n_gammas, min_ratio=min_ratio,
                                tol=tol, max_iter=max_iter)
-    values = [getattr(f, criterion) for f in path]
-    return path[int(np.argmin(values))], path
+    return best_fit(path, criterion), path
 
 
 def kkt_residuals(design: DesignSet, fit: FitResult) -> tuple[float, float]:

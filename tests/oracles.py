@@ -4,10 +4,12 @@ Everything here is deliberately written against the mathematical definitions
 rather than the package internals: de Boor recursion for B-splines, dense-grid
 quadrature for Gram matrices, cyclic blockwise proximal coordinate descent for
 the group lasso, and a trace-based characteristic polynomial for spectral
-radii.  ``fista_loop``, ``kkt_loop``, the FPCA refits, ``stability_loop`` and
-``simulate_scores_loop`` are the package's earlier, slower formulations, kept
-as references its faster ones must match.
+radii.  ``fista_loop``, ``fista_row``, ``path_rows``, ``kkt_loop``, the FPCA
+refits, ``stability_loop`` and ``simulate_scores_loop`` are the package's
+earlier, slower formulations, kept as references its faster ones must match.
 """
+
+import math
 
 import numpy as np
 
@@ -197,6 +199,91 @@ def fista_loop(gram, hmat, ynorm_sq, offsets, gamma, step, tol, max_iter, x0):
             break
         skip_check = restarted or rejected
     return xt, np.asarray(trace), len(trace), status
+
+
+def fista_row(gram, hmat, ynorm_sq, offsets, gamma, step, tol=1e-8,
+              max_iter=10000, x0=None):
+    """One row of restarted block FISTA in whole-array numpy: the package's
+    per-row kernel before rows were batched, with two Gram products per
+    iteration (gradient at x, objective at the candidate).
+
+    Returns ``(x, trace, iterations, converged)``; raises RuntimeError where
+    ``fista_loop`` reports status -1.
+    """
+    starts = np.asarray(offsets[:-1], dtype=np.int64)
+    sizes = np.diff(offsets)
+    tau = gamma * step
+    floor = tau if tau > 0.0 else 1.0
+
+    def sq_norms(a):
+        return np.add.reduceat(np.einsum("ij,ij->i", a, a), starts)
+
+    def objective(xt, penalty):
+        return 0.5 * (ynorm_sq - 2.0 * np.vdot(hmat, xt)
+                      + np.vdot(xt, gram @ xt)) + penalty
+
+    xt = np.zeros_like(hmat) if x0 is None else np.array(x0, dtype=float)
+    x = xt
+    theta = 1.0
+    trace = [objective(xt, gamma * np.sum(np.sqrt(sq_norms(xt))))]
+    g_prev = trace[0]
+    converged, skip_check, pure_step = False, False, True
+    for _ in range(max_iter):
+        z = x - step * (gram @ x - hmat)
+        zn = np.sqrt(sq_norms(z))
+        scale = 1.0 - tau / np.maximum(zn, floor)
+        xt_new = z * np.repeat(scale, sizes)[:, None]
+        g_cand = objective(xt_new, gamma * np.vdot(scale, zn))
+        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        omega = (theta - 1.0) / theta_new
+        restarted = np.vdot(x - xt_new, xt_new - xt) > 0.0
+        rejected = (not math.isfinite(g_cand)) or g_cand > g_prev
+        if rejected and pure_step:
+            if not g_cand - g_prev <= 1e-12 * max(ynorm_sq, abs(g_prev)):
+                raise RuntimeError("objective diverged")
+            trace.append(g_prev)
+            converged = True
+            break
+        pure_step = rejected
+        if rejected:
+            x, theta, g = xt, 1.0, g_prev
+        elif restarted:
+            theta, xt, g = 1.0, xt_new, g_cand
+        else:
+            theta = theta_new
+            x = xt_new + omega * (xt_new - xt)
+            xt, g = xt_new, g_cand
+        trace.append(g)
+        rel = abs(g_prev - g) / max(abs(g_prev), 1e-12)
+        g_prev = g
+        if rel < tol and not skip_check and not restarted and not rejected:
+            converged = True
+            break
+        skip_check = restarted or rejected
+    return xt, np.asarray(trace), len(trace) - 1, converged
+
+
+def path_rows(design, grids, tol=1e-8, max_iter=10000, warm_starts=None):
+    """Row-by-row warm-started paths with ``fista_row``: ``grids[j]`` is row
+    j's descending gamma grid.  Point i starts from ``warm_starts[j][i]``
+    when given, else from row j's own point i-1 (zeros at i = 0).  Returns
+    ``paths[j][i] = (x, iterations, converged)``."""
+    step = design.step_size()
+    paths = []
+    for j, grid in enumerate(grids):
+        Y = design.responses[j]
+        hmat = design.design.T @ Y
+        x0, path = None, []
+        for i, gamma in enumerate(grid):
+            if warm_starts is not None:
+                x0 = warm_starts[j][i]
+            x, _, iterations, converged = fista_row(
+                design.gram, hmat, float(np.sum(Y * Y)), design.offsets,
+                float(gamma), step, tol, max_iter, x0)
+            path.append((x, iterations, converged))
+            x0 = x
+        paths.append(path)
+    return paths
 
 
 def kkt_loop(gram, hmat, X, offsets, gamma):

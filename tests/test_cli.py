@@ -247,6 +247,21 @@ class TestPathAndSelect:
                 (tmp_path / "select" / name).read_bytes()
 
 
+    @pytest.mark.parametrize("command", ["fit", "select", "path"])
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--n-gammas", "0", "n_gammas"), ("--min-gamma-ratio", "0", "min_ratio"),
+        ("--min-gamma-ratio", "-1", "min_ratio"), ("--max-iter", "0", "max_iter"),
+        ("--tol", "-1", "tol"), ("--tol", "nan", "tol")])
+    def test_bad_path_option_is_config_error(self, sim_dir, tmp_path, capsys,
+                                             command, flag, value, name):
+        out = tmp_path / "out"
+        assert run(command, "--panel", sim_dir / "panel.npz", "--basis-dim", 8,
+                   "--q", 3, "--eta", 1e-4, flag, value, "--out", out) == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "path.json").exists()
+        assert not (out / "fits.json").exists()
+
+
 class TestNetwork:
     def test_graph_from_fit(self, fit_dir, tmp_path):
         out = tmp_path / "net"
@@ -277,10 +292,13 @@ class TestStability:
     @pytest.mark.parametrize("flag, value, name", [
         ("--a-values", "nan", "a_values"), ("--b-values", "0,inf", "b_values"),
         ("--sigma", "0", "sigma"), ("--sigma", "nan", "sigma"),
-        ("--theta-grid", "32", "theta grid")])
+        ("--theta-grid", "32", "theta grid"), ("--a-values", "", "a_values"),
+        ("--b-values", "", "b_values"), ("--sigma", "-1", "sigma"),
+        ("--a-values", "0.5,1.0", "a_values: the (a, b) pair (1.0, 0.0)")])
     def test_bad_argument_is_config_error(self, tmp_path, capsys, flag, value, name):
         assert run("stability", flag, value, "--out", tmp_path) == 2
         assert name in capsys.readouterr().err
+        assert not (tmp_path / "stability.csv").exists()
 
 
 class TestVerifyConcentration:

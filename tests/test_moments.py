@@ -268,7 +268,10 @@ class TestStabilitySweep:
 
     @pytest.mark.parametrize("kwargs, name", [
         (dict(a_values=[np.nan]), "a_values"), (dict(b_values=[0.0, np.inf]), "b_values"),
-        (dict(sigma=0.0), "sigma"), (dict(sigma=np.nan), "sigma")])
+        (dict(sigma=0.0), "sigma"), (dict(sigma=np.nan), "sigma"),
+        (dict(a_values=[]), "a_values"), (dict(b_values=[]), "b_values"),
+        (dict(sigma=-1.0), "sigma"),
+        (dict(a_values=[0.5, -1.2]), r"a_values: the \(a, b\) pair \(-1.2, 0.0\)")])
     def test_bad_arguments_rejected(self, kwargs, name):
         args = dict(a_values=[0.5], b_values=[0.0], sigma=1.0) | kwargs
         with pytest.raises(ConfigError, match=name):

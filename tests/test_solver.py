@@ -17,7 +17,8 @@ from fvar.vfar import gen_block_banded, simulate_coefficients
 
 from helpers import (kl_from_scores, lagged_scores, oracle_design,
                      oracle_models)
-from oracles import block_coordinate_descent, group_objective, kkt_loop
+from oracles import (block_coordinate_descent, fista_row, group_objective,
+                     kkt_loop, path_rows)
 
 
 def fista_from_data(Y, B, gamma, offsets, step=None, **kwargs):
@@ -314,6 +315,173 @@ class TestBlockNorms:
                                    rtol=1e-10, atol=1e-13)
 
 
+def block_norms_sq(X, design):
+    return np.array([np.sum(X[lo:hi] ** 2) for lo, hi in
+                     zip(design.offsets, design.offsets[1:])])
+
+
+def stacked_rows(design):
+    """hmat, ||Y||^2 and column offsets of every row of ``design``, in the
+    batched layout of ``block_fista_gram``."""
+    Ys = design.responses
+    col_offsets = np.cumsum([0] + [Y.shape[1] for Y in Ys])
+    return (design.design.T @ np.concatenate(Ys, axis=1),
+            np.array([float(np.sum(Y * Y)) for Y in Ys]), col_offsets)
+
+
+def desk_design():
+    """A desk-scale design: p=20 variables of 5 scores, n=200."""
+    return oracle_design(p=20, q=5, n=200, seed=3)[0]
+
+
+def assert_rows_match_oracle(design, info, gammas, col_offsets, max_iter=10000,
+                             x0=None):
+    """Each row of a batched solve against ``fista_row`` from the same start:
+    iteration counts within 2, |dx| <= 1e-12 where the counts are equal, and
+    at most 5% of the rows off the oracle's count."""
+    hmat, ynorm_sq, _ = stacked_rows(design)
+    off = 0
+    for b, (lo, hi) in enumerate(zip(col_offsets, col_offsets[1:])):
+        start = None if x0 is None else x0[:, lo:hi]
+        x, trace, iterations, converged = fista_row(
+            design.gram, hmat[:, lo:hi], ynorm_sq[b], design.offsets,
+            gammas[b], design.step_size(), 1e-8, max_iter, start)
+        got = info.x[:, lo:hi]
+        assert info.row_converged[b] == converged
+        assert info.traces[b].size == info.row_iterations[b] + 1
+        assert info.traces[b][0] == pytest.approx(trace[0], rel=1e-12)
+        assert abs(int(info.row_iterations[b]) - iterations) <= 2
+        if info.row_iterations[b] == iterations:
+            np.testing.assert_allclose(got, x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(info.traces[b], trace, rtol=1e-12)
+        else:
+            off += 1
+    assert off <= 0.05 * len(gammas) + 1
+    assert info.iterations == int(info.row_iterations.sum())
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("make", [lambda: mixed_block_design(L=2),
+                                      lambda: mixed_block_design(L=1),
+                                      desk_design],
+                             ids=["mixed-L2", "mixed-L1", "desk-p20"])
+    def test_rows_match_per_row_oracle(self, make):
+        # rows at different gammas converge at different iterations, so
+        # their columns leave the working arrays at different times; one
+        # row is optimal at x0 = 0 (gamma >= gamma_max), one has gamma = 0
+        design = make()
+        hmat, ynorm_sq, col_offsets = stacked_rows(design)
+        ratios = np.resize([1.5, 0.0, 0.6, 0.05, 0.3, 0.9], design.p)
+        gammas = ratios * np.array([gamma_max(design, j) for j in range(design.p)])
+        info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
+                                gammas, design.step_size(),
+                                col_offsets=col_offsets)
+        assert info.converged
+        np.testing.assert_array_equal(info.x[:, :col_offsets[1]], 0.0)
+        assert_rows_match_oracle(design, info, gammas, col_offsets)
+
+    def test_warm_started_rows_match_oracle(self):
+        design = desk_design()
+        hmat, ynorm_sq, col_offsets = stacked_rows(design)
+        tops = np.array([gamma_max(design, j) for j in range(design.p)])
+        x0 = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
+                              0.4 * tops, design.step_size(),
+                              col_offsets=col_offsets).x
+        info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
+                                0.3 * tops, design.step_size(), x0=x0,
+                                col_offsets=col_offsets)
+        assert_rows_match_oracle(design, info, 0.3 * tops, col_offsets, x0=x0)
+
+    def test_row_at_max_iter_beside_converged_rows(self):
+        design = mixed_block_design(L=1)
+        hmat, ynorm_sq, col_offsets = stacked_rows(design)
+        tops = np.array([gamma_max(design, j) for j in range(design.p)])
+        gammas = np.array([0.0, 0.5, 2.0, 0.8]) * tops
+        full = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
+                                gammas, design.step_size(),
+                                col_offsets=col_offsets)
+        slow = int(np.argmax(full.row_iterations))
+        cap = int(np.sort(full.row_iterations)[-2]) + 1
+        assert cap < full.row_iterations[slow]
+        info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
+                                gammas, design.step_size(), max_iter=cap,
+                                col_offsets=col_offsets)
+        assert info.row_iterations[slow] == cap
+        assert list(info.row_converged) == [b != slow for b in range(design.p)]
+        assert_rows_match_oracle(design, info, gammas, col_offsets,
+                                 max_iter=cap)
+
+    def test_batch_of_one_is_the_one_row_solve(self):
+        design = mixed_block_design()
+        Y = design.responses[1]
+        args = (design.gram, design.design.T @ Y, float(np.sum(Y * Y)),
+                design.offsets, 0.2 * gamma_max(design, 1), design.step_size())
+        one = block_fista_gram(*args)
+        batch = block_fista_gram(*args, col_offsets=[0, Y.shape[1]])
+        np.testing.assert_array_equal(one.x, batch.x)
+        np.testing.assert_array_equal(one.objective_trace, batch.traces[0])
+        assert one.iterations == batch.iterations
+        x, trace, iterations, converged = fista_row(*args)
+        assert (one.iterations, one.converged) == (iterations, converged)
+        np.testing.assert_allclose(one.x, x, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("factor", [2.5, 100.0])
+    def test_divergence_names_the_row(self, factor):
+        # only row 2 has data, so only it can diverge; at 2.5/lambda_max it
+        # does so after the data-free rows have converged and left the
+        # working arrays
+        design = mixed_block_design(L=1)
+        hmat, ynorm_sq, col_offsets = stacked_rows(design)
+        keep = slice(col_offsets[2], col_offsets[3])
+        hmat_one = np.zeros_like(hmat)
+        hmat_one[:, keep] = hmat[:, keep]
+        step = factor / np.linalg.eigvalsh(design.gram)[-1]
+        with pytest.raises(NumericalError, match="row 9: objective diverged"):
+            block_fista_gram(design.gram, hmat_one, ynorm_sq, design.offsets,
+                             0.0, step, max_iter=5000, col_offsets=col_offsets,
+                             row_ids=[5, 7, 9, 11])
+
+    def test_stall_at_optimum_ends_every_row(self):
+        # with tol=0 only the stall exit ends a row
+        design = mixed_block_design(L=1)
+        hmat, ynorm_sq, col_offsets = stacked_rows(design)
+        tops = np.array([gamma_max(design, j) for j in range(design.p)])
+        info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
+                                np.array([0.0, 0.3, 0.8, 0.6]) * tops,
+                                design.step_size(), tol=0.0, max_iter=20000,
+                                col_offsets=col_offsets)
+        assert info.row_converged.all()
+        assert info.row_iterations.max() < 20000
+        for trace in info.traces:
+            # the stall appends the unchanged objective
+            assert trace[-1] == trace[-2]
+
+    def test_non_finite_start_names_the_row(self):
+        design = mixed_block_design(L=1)
+        hmat, ynorm_sq, col_offsets = stacked_rows(design)
+        x0 = np.zeros_like(hmat)
+        x0[0, col_offsets[2]] = np.nan
+        with pytest.raises(NumericalError, match="row 2: objective is not finite"):
+            block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets, 1.0,
+                             design.step_size(), x0=x0, col_offsets=col_offsets)
+
+    @pytest.mark.parametrize("col_offsets", [[0, 3], [0, 0, 7], [0, 5, 3, 7]])
+    def test_bad_column_offsets_rejected(self, col_offsets):
+        design = mixed_block_design(L=1)
+        hmat, ynorm_sq, _ = stacked_rows(design)
+        with pytest.raises(ConfigError, match="column offsets"):
+            block_fista_gram(design.gram, hmat, 1.0, design.offsets, 1.0,
+                             design.step_size(), col_offsets=col_offsets)
+
+    def test_negative_gamma_in_batch_rejected(self):
+        design = mixed_block_design(L=1)
+        hmat, ynorm_sq, col_offsets = stacked_rows(design)
+        with pytest.raises(ConfigError, match="gamma"):
+            block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
+                             [1.0, -1.0, 1.0, 1.0], design.step_size(),
+                             col_offsets=col_offsets)
+
+
 class TestFitRowAndSelection:
     def test_gamma_max_gives_zero_fit(self):
         design, _ = oracle_design()
@@ -420,6 +588,56 @@ class TestRegularizationPath:
         design, _ = oracle_design()
         with pytest.raises(ConfigError):
             regularization_path(design, 0, gamma_grid=[0.1, 0.5])
+
+    @pytest.mark.parametrize("make", [lambda: mixed_block_design(L=2),
+                                      desk_design], ids=["mixed-L2", "desk-p20"])
+    def test_all_rows_path_matches_per_row_oracle(self, make):
+        design = make()
+        rows = range(design.p)
+        paths = regularization_path(design, rows, n_gammas=20)
+        grids = [[f.gamma for f in path] for path in paths]
+        for j in rows:
+            np.testing.assert_array_equal(grids[j],
+                                          default_gamma_grid(design, j, 20))
+        # each path warm-starts from its own previous points
+        ref = path_rows(design, grids)
+        counts = []
+        for j in rows:
+            for (x, iterations, converged), fit in zip(ref[j], paths[j]):
+                assert fit.converged and converged
+                assert (fit.active() == (block_norms_sq(x, design) > 0)).all()
+                counts.append(fit.iterations - iterations)
+        counts = np.array(counts)
+        assert np.abs(counts).max() <= 2
+        assert (counts == 0).mean() >= 0.95
+
+    def test_one_row_path_is_the_batched_row(self):
+        design = mixed_block_design(L=2)
+        grid = default_gamma_grid(design, 2, 10)
+        one = regularization_path(design, 2, gamma_grid=grid)
+        many = regularization_path(design, [0, 2], gamma_grid=grid)[1]
+        assert [f.j for f in one] == [2] * 10
+        for a, b in zip(one, many):
+            assert a.iterations == b.iterations
+            np.testing.assert_allclose(a.coeffs_std, b.coeffs_std, rtol=0,
+                                       atol=1e-13)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n_gammas=0), "n_gammas"), (dict(min_ratio=0.0), "min_ratio"),
+        (dict(min_ratio=-1.0), "min_ratio"), (dict(min_ratio=1.5), "min_ratio"),
+        (dict(max_iter=0), "max_iter"), (dict(tol=-1.0), "tol"),
+        (dict(tol=np.nan), "tol"), (dict(gamma_grid=[]), "empty")])
+    def test_bad_path_options_rejected(self, kwargs, name):
+        design, _ = oracle_design()
+        with pytest.raises(ConfigError, match=name):
+            regularization_path(design, range(design.p), **kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(max_iter=0), "max_iter"), (dict(tol=np.inf), "tol")])
+    def test_bad_fit_row_options_rejected(self, kwargs, name):
+        design, _ = oracle_design()
+        with pytest.raises(ConfigError, match=name):
+            fit_row(0, design, 1.0, **kwargs)
 
 
 class TestSweepPathThreads:
