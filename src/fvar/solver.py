@@ -50,8 +50,6 @@ from .errors import ConfigError, NumericalError
 from .fpca import KLModel
 
 IC_FLOOR = 1e-300
-# row-wise dot products of two 2-d arrays; numpy < 2 has no vecdot
-_rowdot = getattr(np, "vecdot", lambda a, b: np.einsum("ij,ij->i", a, b))
 # relative objective increase, on the scale of ||Y||_F^2, that a
 # momentum-free step may show at the optimum through rounding alone
 STALL_RTOL = 1e-12
@@ -286,11 +284,11 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
     update theta -> (1 + sqrt(1 + 4 theta^2))/2, extrapolation, and a
     restart whenever trace{(X - Xt_new)^T (Xt_new - Xt)} > 0, in which case
     the accumulated momentum is dropped (X kept at the previous iterate,
-    theta reset to 1).  A row stops when its relative objective change
-    falls below ``tol`` or when a momentum-free step cannot lower its
-    objective beyond rounding; a momentum-free step that raises it
-    materially means the step size exceeds the inverse Lipschitz bound and
-    raises NumericalError naming the row.
+    theta reset to 1).  A row stops when its relative objective change is
+    at most ``tol`` or when a momentum-free step cannot lower its objective
+    beyond rounding; a momentum-free step that raises it materially means
+    the step size exceeds the inverse Lipschitz bound and raises
+    NumericalError naming the row.
 
     ``traces[b]`` holds row b's objective at each proximal point, entry 0
     at ``x0``.
@@ -335,7 +333,7 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
     starts, col_row = layout()
 
     def row_sums(a, b):
-        return np.add.reduceat(_rowdot(a, b), starts)
+        return np.add.reduceat(np.einsum("ij,ij->i", a, b), starts)
 
     def block_norms(a):
         """(row, block) Frobenius norms."""
@@ -369,7 +367,7 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
         xt_new = z * np.repeat(scale[col_row], sizes, axis=1)
         gxt_new = xt_new @ gram
         g_cand = (0.5 * (yn + row_sums(xt_new, gxt_new - h2))
-                  + gamma * _rowdot(scale, zn))
+                  + gamma * np.einsum("ij,ij->i", scale, zn))
 
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         omega = ((theta - 1.0) / theta_new)[col_row, None]
@@ -381,7 +379,7 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
         # restarts re-derive the previous proximal point on the next pass,
         # so their zero objective change carries no convergence signal
         rel = np.abs(g_prev - g_cand) / np.maximum(np.abs(g_prev), 1e-12)
-        done = (rel < tol) & ~(skip_check | moved)
+        done = (rel <= tol) & ~(skip_check | moved)
         x_ext = xt_new + omega * advance
         gx_ext = gxt_new + omega * (gxt_new - gxt)
         if np.count_nonzero(moved):
@@ -566,8 +564,8 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
     sequence of rows, for which one such list per row is returned.  All
     rows step down their grids together: at each grid index one batched
     ``block_fista_gram`` solves every row, each warm-started from its own
-    previous point.  ``gamma_grid`` is one grid for all rows or one per
-    row; by default each row uses its own ``default_gamma_grid``.
+    previous point.  ``gamma_grid`` is one grid for all rows; by default
+    each row uses its own ``default_gamma_grid``.
     """
     one = np.ndim(j) == 0
     rows = [int(j)] if one else [int(b) for b in j]
@@ -576,12 +574,14 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
         grids = np.array([default_gamma_grid(design, b, n_gammas, min_ratio)
                           for b in rows])
     else:
-        grid = np.atleast_2d(np.asarray(gamma_grid, dtype=float))
-        grids = np.broadcast_to(grid, (len(rows), grid.shape[1]))
-    if grids.shape[1] == 0:
-        raise ConfigError("gamma grid is empty")
-    if np.any(np.diff(grids, axis=1) > 0):
-        raise ConfigError("gamma grid must be nonincreasing")
+        grid = np.asarray(gamma_grid, dtype=float)
+        if grid.ndim != 1:
+            raise ConfigError("gamma grid must be one-dimensional")
+        if grid.size == 0:
+            raise ConfigError("gamma grid is empty")
+        if np.any(np.diff(grid) > 0):
+            raise ConfigError("gamma grid must be nonincreasing")
+        grids = np.broadcast_to(grid, (len(rows), grid.size))
 
     responses = [design.responses[b] for b in rows]
     col_offsets = np.cumsum([0] + [Y.shape[1] for Y in responses])

@@ -441,20 +441,29 @@ class TestBatchedSolve:
                              0.0, step, max_iter=5000, col_offsets=col_offsets,
                              row_ids=[5, 7, 9, 11])
 
-    def test_stall_at_optimum_ends_every_row(self):
-        # with tol=0 only the stall exit ends a row
+    @pytest.mark.parametrize("ratios", [[0.0, 0.3, 0.8, 0.6],
+                                        [0.0, 1.5, 0.8, 0.6]])
+    def test_stall_at_optimum_ends_every_row(self, ratios):
+        # with tol=0 a row ends at the stall exit or at a step that leaves
+        # its objective exactly unchanged, as a row whose solution is zero
+        # (gamma >= gamma_max) does from x0 = 0
         design = mixed_block_design(L=1)
         hmat, ynorm_sq, col_offsets = stacked_rows(design)
         tops = np.array([gamma_max(design, j) for j in range(design.p)])
         info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
-                                np.array([0.0, 0.3, 0.8, 0.6]) * tops,
+                                np.array(ratios) * tops,
                                 design.step_size(), tol=0.0, max_iter=20000,
                                 col_offsets=col_offsets)
         assert info.row_converged.all()
         assert info.row_iterations.max() < 20000
         for trace in info.traces:
-            # the stall appends the unchanged objective
+            # both exits append the unchanged objective
             assert trace[-1] == trace[-2]
+        for b, ratio in enumerate(ratios):
+            if ratio >= 1:
+                assert info.row_iterations[b] == 1
+                np.testing.assert_array_equal(
+                    info.x[:, col_offsets[b]:col_offsets[b + 1]], 0.0)
 
     def test_non_finite_start_names_the_row(self):
         design = mixed_block_design(L=1)
@@ -626,7 +635,8 @@ class TestRegularizationPath:
         (dict(n_gammas=0), "n_gammas"), (dict(min_ratio=0.0), "min_ratio"),
         (dict(min_ratio=-1.0), "min_ratio"), (dict(min_ratio=1.5), "min_ratio"),
         (dict(max_iter=0), "max_iter"), (dict(tol=-1.0), "tol"),
-        (dict(tol=np.nan), "tol"), (dict(gamma_grid=[]), "empty")])
+        (dict(tol=np.nan), "tol"), (dict(gamma_grid=[]), "empty"),
+        (dict(gamma_grid=[[1.0, 0.5]]), "one-dimensional")])
     def test_bad_path_options_rejected(self, kwargs, name):
         design, _ = oracle_design()
         with pytest.raises(ConfigError, match=name):
