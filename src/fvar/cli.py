@@ -24,7 +24,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .harness import SCENARIOS, run_concentration
 from .moments import stability_sweep
 from .network import (cidr_transform, extract_network, read_price_csv,
-                      relative_error, roc_and_auroc)
+                      roc_and_auroc)
 from .panel import CurvePanel
 from .pipeline import fit_vfar, fpca_panel, sweep_path
 from .solver import KernelEstimate, accel_backend, build_design
@@ -127,13 +127,13 @@ def cmd_simulate(args) -> int:
 
 def _stage1_inputs(args) -> dict:
     """Stage-1 arguments shared by fit, path and select: the panel, the
-    basis, the q and eta grids, folds, seed and thread count."""
+    basis, the q and eta grids, folds and seed."""
     return {
         "panel": _load_panel(args.panel),
         "basis": BasisSpec(kind=args.basis, dimension=args.basis_dim),
         "q_grid": [args.q] if args.q else _ints(args.q_grid),
         "eta_grid": [args.eta] if args.eta is not None else _floats(args.eta_grid),
-        "folds": args.folds, "seed": args.seed, "threads": args.threads,
+        "folds": args.folds, "seed": args.seed,
     }
 
 
@@ -178,8 +178,7 @@ def cmd_path(args) -> int:
     paths, estimates = sweep_path(design, stage1.kl_models,
                                   n_gammas=args.n_gammas,
                                   min_ratio=args.min_gamma_ratio,
-                                  tol=args.tol, max_iter=args.max_iter,
-                                  threads=args.threads)
+                                  tol=args.tol, max_iter=args.max_iter)
     records = [{
         "index": i,
         "gammas": [paths[j][i].gamma for j in range(design.p)],

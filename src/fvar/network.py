@@ -72,7 +72,6 @@ class EvalReport:
     fpr: np.ndarray
     tpr: np.ndarray
     auroc: float
-    relative_error: float | None = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -101,27 +100,21 @@ def extract_network(kernels: KernelEstimate, threshold: float | None = None,
     if len(nodes) != p:
         raise ConfigError("labels length does not match the variable count")
 
-    edges = []
     if threshold is not None:
         if threshold < 0:
             raise ConfigError("threshold must be nonnegative")
-        for j in range(p):
-            for k in range(p):
-                if weights[j, k] > threshold:
-                    edges.append(Edge(source=k, target=j,
-                                      weight=float(weights[j, k]),
-                                      lag_weights=list(lag_w[:, j, k])))
+        sources = [[k for k in range(p) if weights[j, k] > threshold]
+                   for j in range(p)]
     else:
         if not 1 <= indegree <= p:
             raise ConfigError("indegree must be in [1, p]")
-        for j in range(p):
-            candidates = [k for k in range(p) if include_self or k != j]
-            ranked = sorted(candidates, key=lambda k: (-weights[j, k], k))
-            for k in ranked[: min(indegree, len(ranked))]:
-                edges.append(Edge(source=k, target=j,
-                                  weight=float(weights[j, k]),
-                                  lag_weights=list(lag_w[:, j, k])))
-    return CausalGraph(nodes=nodes, edges=edges)
+        sources = [sorted((k for k in range(p) if include_self or k != j),
+                          key=lambda k: (-weights[j, k], k))[:indegree]
+                   for j in range(p)]
+    return CausalGraph(nodes=nodes, edges=[
+        Edge(source=k, target=j, weight=float(weights[j, k]),
+             lag_weights=list(lag_w[:, j, k]))
+        for j in range(p) for k in sources[j]])
 
 
 def roc_points(est_supports, true_support) -> EvalReport:
@@ -133,6 +126,9 @@ def roc_points(est_supports, true_support) -> EvalReport:
     pts = {(0.0, 0.0), (1.0, 1.0)}
     for est in est_supports:
         est = np.asarray(est, dtype=bool)
+        if est.shape != truth.shape:
+            raise ConfigError(f"an estimate has p={len(est)} variables but the "
+                              f"truth has p={len(truth)}")
         tp = int((est & truth).sum())
         fp = int((est & ~truth).sum())
         tpr = tp / n_pos if n_pos else 1.0
@@ -148,30 +144,42 @@ def roc_and_auroc(path, truth: VFARModel) -> EvalReport:
     return roc_points([est.support() for est in path], truth.support())
 
 
-def relative_error(kernels: KernelEstimate, truth: VFARModel,
-                   grid_size: int = 200) -> float:
+GRID_SIZE = 200
+
+
+def relative_error(kernels: KernelEstimate, truth: VFARModel) -> float:
     """||Ahat - A||_F / ||A||_F in the functional Frobenius norm, with every
-    Hilbert-Schmidt norm evaluated by trapezoid quadrature on a common grid."""
-    if kernels.L != truth.L:
-        raise ConfigError("lag orders of estimate and truth differ")
+    Hilbert-Schmidt norm evaluated by trapezoid quadrature, weights W, on a
+    common grid of GRID_SIZE points.  With [U_j | V_j] the R factor of
+    sqrt(W) [Phi_j | S], for variable j's eigenfunctions Phi_j and the
+    truth's basis S on the grid, the quadrature of the squared difference of
+    kernels (j, k) is ||U_j Psi_jk^T U_k^T - V_j B_jk V_k^T||_F^2."""
+    if (kernels.L, kernels.p) != (truth.L, truth.p):
+        raise ConfigError(f"the estimate has L={kernels.L}, p={kernels.p} but "
+                          f"the true model has L={truth.L}, p={truth.p}")
     a, b = truth.basis.domain
-    u = np.linspace(a, b, grid_size)
-    w = np.full(grid_size, (b - a) / (grid_size - 1))
+    u = np.linspace(a, b, GRID_SIZE)
+    w = np.full(GRID_SIZE, (b - a) / (GRID_SIZE - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
 
-    S = evaluate_basis(truth.basis, u)
-    phis = [m.eigenfunctions(u) for m in kernels.kl_models]
-    num = 0.0
-    den = 0.0
-    for h in range(truth.L):
+    root_w = np.sqrt(w)[:, None]
+    S = root_w * evaluate_basis(truth.basis, u)
+    G = S.shape[1]
+    R = [np.linalg.qr(np.hstack([root_w * m.eigenfunctions(u), S]), mode="r")
+         for m in kernels.kl_models]
+    U, V = [r[:, :-G] for r in R], [r[:, -G:] for r in R]
+    o = kernels.offsets
+    num = den = 0.0
+    for lag, blocks in zip(kernels.lags, truth.blocks):
         for j in range(truth.p):
+            est = U[j] @ lag[:, o[j]:o[j + 1]].T  # U_j Psi_jk^T, side by side
+            true = V[j] @ blocks[j]               # V_j B_jk, stacked over k
             for k in range(truth.p):
-                true_k = S @ truth.blocks[h, j, k] @ S.T
-                est_k = phis[j] @ kernels.psi[h][j][k].T @ phis[k].T
-                diff = est_k - true_k
-                num += float(w @ (diff * diff) @ w)
-                den += float(w @ (true_k * true_k) @ w)
+                true_k = true[k] @ V[k].T
+                diff = est[:, o[k]:o[k + 1]] @ U[k].T - true_k
+                num += float(np.vdot(diff, diff))
+                den += float(np.vdot(true_k, true_k))
     if den == 0.0:
         raise DataError("reference model has identically zero kernels")
     return float(np.sqrt(num / den))

@@ -1,15 +1,15 @@
 """End-to-end orchestration: per-variable FPCA, row fits, path sweeps.
 
-The p per-variable FPCA fits, and the p row fits at a fixed gamma, are
-independent, so both parallelize over a thread pool with read-only shared
-state; results are keyed by variable index, making the output independent
-of the schedule.  Regularization paths use no pool: one batched solve per
-path index serves every row (``solver.regularization_path``).
+Everything runs on the calling thread.  The per-variable FPCA fits and the
+fixed-gamma row fits loop over the variables; a regularization path makes
+one batched solve per path index for every row
+(``solver.regularization_path``).  ``fpca_panel`` and ``sweep_path``
+still accept a ``threads`` keyword, and the CLI a ``--threads`` flag, that
+nothing reads: the benchmark in ``benchmarks/`` passes them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,13 +29,6 @@ class PanelFPCA:
     selections: list  # per variable (q, eta)
 
 
-def _map_indexed(fn, count: int, threads: int):
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 EIGEN_FLOOR = 1e-2
 
 
@@ -51,7 +44,8 @@ def fpca_panel(panel: CurvePanel, basis: BasisSpec, q_grid, eta_grid,
     kernels.
 
     A variable whose curves are the same at every time point has no
-    variance to decompose and is a ``DataError``.
+    variance to decompose and is a ``DataError``.  ``threads`` is not
+    read.
     """
     constant = np.ptp(panel.values, axis=0).max(axis=1) == 0
     if constant.any():
@@ -61,7 +55,8 @@ def fpca_panel(panel: CurvePanel, basis: BasisSpec, q_grid, eta_grid,
     q_grid = [int(q) for q in q_grid]
     eta_grid = [float(e) for e in eta_grid]
 
-    def one(j: int):
+    stage1 = PanelFPCA(kl_models=[], selections=[])
+    for j in range(panel.p):
         curves = panel.values[:, j, :]
         if len(q_grid) == 1 and len(eta_grid) == 1:
             q, eta = q_grid[0], eta_grid[0]
@@ -75,11 +70,9 @@ def fpca_panel(panel: CurvePanel, basis: BasisSpec, q_grid, eta_grid,
                               EIGEN_FLOOR * model.eigenvalues[0]))
             if keep < model.q:
                 model = truncate_models([model], keep)[0]
-        return model, (model.q, eta)
-
-    results = _map_indexed(one, panel.p, threads)
-    return PanelFPCA(kl_models=[r[0] for r in results],
-                     selections=[r[1] for r in results])
+        stage1.kl_models.append(model)
+        stage1.selections.append((model.q, eta))
+    return stage1
 
 
 def truncate_models(kl_models, q: int) -> list:
@@ -91,18 +84,15 @@ def truncate_models(kl_models, q: int) -> list:
 def fit_rows(design: DesignSet, gamma: float | None = None,
              criterion: str = "bic", n_gammas: int = 50,
              min_ratio: float = 1e-3, tol: float = 1e-8,
-             max_iter: int = 10000, threads: int = 1):
+             max_iter: int = 10000):
     """Fit every row, either at a fixed gamma or at the IC-selected one.
 
     Returns (fits, ic_rows) where ic_rows holds one (j, gamma, rss, df, aic,
-    bic) record per evaluated path point.  Only the fixed-gamma fits use
-    ``threads``.
+    bic) record per evaluated path point.
     """
     if gamma is not None:
-        fits = _map_indexed(lambda j: fit_row(j, design, gamma, tol=tol,
-                                              max_iter=max_iter),
-                            design.p, threads)
-        return fits, []
+        return [fit_row(j, design, gamma, tol=tol, max_iter=max_iter)
+                for j in range(design.p)], []
     check_criterion(criterion)
     paths = regularization_path(design, range(design.p), n_gammas=n_gammas,
                                 min_ratio=min_ratio, tol=tol,
@@ -134,14 +124,13 @@ def fit_vfar(panel: CurvePanel, basis: BasisSpec, L: int = 1,
              q_grid=(4, 5, 6), eta_grid=(0.0, 1e-4, 1e-2), folds: int = 5,
              gamma: float | None = None, criterion: str = "bic",
              n_gammas: int = 50, min_ratio: float = 1e-3, seed: int = 0,
-             tol: float = 1e-8, max_iter: int = 10000, threads: int = 1):
+             tol: float = 1e-8, max_iter: int = 10000):
     """Full three-stage fit: FPCA per variable, penalized row regressions,
     kernel recovery.  Returns (kernel estimate, fits, fpca result, ic rows)."""
-    stage1 = fpca_panel(panel, basis, q_grid, eta_grid, folds=folds,
-                        seed=seed, threads=threads)
+    stage1 = fpca_panel(panel, basis, q_grid, eta_grid, folds=folds, seed=seed)
     design = build_design(stage1.kl_models, L)
     fits, ic_rows = fit_rows(design, gamma=gamma, criterion=criterion,
                              n_gammas=n_gammas, min_ratio=min_ratio, tol=tol,
-                             max_iter=max_iter, threads=threads)
+                             max_iter=max_iter)
     kernels = recover_kernels(fits, stage1.kl_models)
     return kernels, fits, stage1, ic_rows

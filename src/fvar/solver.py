@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .fpca import KLModel
 
 IC_FLOOR = 1e-300
@@ -113,15 +112,20 @@ class FitResult:
     aic: float
     bic: float
 
+    def __post_init__(self):
+        self.psi_stacked.flags.writeable = False
+
     def active(self) -> np.ndarray:
         return self.vpsi_sq > 0
 
-    @property
+    @cached_property
     def psi(self) -> list:
-        """``psi[h-1][k]`` is the (q_k, q_j) block Psi_jk^(h) of
-        ``psi_stacked``; see PsiLag."""
-        return [PsiLag(self.psi_stacked, self.offsets, h, self.p)
-                for h in range((len(self.offsets) - 1) // self.p)]
+        """``psi[h-1][k]`` is a view of the (q_k, q_j) block Psi_jk^(h) of
+        the read-only ``psi_stacked``.  Assigning ``psi[h-1][k]`` replaces
+        the block this fit reports; ``psi_stacked`` stays as it is."""
+        o = self.offsets
+        return [[self.psi_stacked[o[b]:o[b + 1]] for b in range(h, h + self.p)]
+                for h in range(0, len(o) - 1, self.p)]
 
     def to_dict(self) -> dict:
         return {
@@ -130,36 +134,6 @@ class FitResult:
             "iterations": self.iterations, "converged": self.converged,
             "rss": self.rss, "df": self.df, "aic": self.aic, "bic": self.bic,
         }
-
-
-class PsiLag(Sequence):
-    """One lag of one row's psi, held as the row's stacked (r, q_j) array.
-
-    ``lag[k]`` is a copy of the (q_k, q_j) block of variable k, sliced from
-    the array on access; assigning ``lag[k]`` writes the block back into
-    it.  Only the array is referenced, not the fit that made it.
-    """
-
-    __slots__ = ("stacked", "offsets", "first", "p")
-
-    def __init__(self, stacked: np.ndarray, offsets: np.ndarray, h: int, p: int):
-        self.stacked, self.offsets, self.first, self.p = stacked, offsets, h * p, p
-
-    def __len__(self) -> int:
-        return self.p
-
-    def _rows(self, k) -> slice:
-        k = operator.index(k)
-        if not -self.p <= k < self.p:
-            raise IndexError("variable index out of range")
-        b = self.first + k % self.p
-        return slice(self.offsets[b], self.offsets[b + 1])
-
-    def __getitem__(self, k) -> np.ndarray:
-        return self.stacked[self._rows(k)].copy()
-
-    def __setitem__(self, k, value) -> None:
-        self.stacked[self._rows(k)] = value
 
 
 def _sym_inv_root(gram_block: np.ndarray, k: int) -> np.ndarray:
@@ -645,23 +619,51 @@ def kkt_residuals(design: DesignSet, fit: FitResult) -> tuple[float, float]:
 class KernelEstimate:
     """Estimated transition kernels in the eigenfunction bases.
 
-    ``psi[h-1][j][k]`` is the (q_k, q_j) block of row j; the kernel is
-    A_jk^(h)(u, v) = phi_k(v)^T Psi_jk^(h) phi_j(u).
+    ``lags`` holds one read-only (sum q, sum q) array per lag, its rows and
+    columns split by variable at ``offsets``.  Row j's blocks sit side by
+    side in column slice j, so ``lags[h-1][k slice, j slice]`` is the
+    (q_k, q_j) block Psi_jk^(h), and the kernel is
+    A_jk^(h)(u, v) = phi_k(v)^T Psi_jk^(h) phi_j(u).  ``psi[h-1][j][k]`` is
+    a view of that block, made on each access of ``psi``.
     """
 
-    L: int
     kl_models: list
-    psi: list
-    hs: np.ndarray  # (L, p, p)
+    lags: np.ndarray                                # (L, sum q, sum q)
+    offsets: np.ndarray = field(init=False)         # (p + 1,)
+    hs: np.ndarray = field(init=False, repr=False)  # (L, p, p)
+
+    def __post_init__(self):
+        self.offsets = np.cumsum([0] + [m.q for m in self.kl_models])
+        if self.lags.shape[1:] != (self.offsets[-1],) * 2:
+            raise ConfigError(f"psi arrays of shape {self.lags.shape[1:]} do "
+                              "not match the components of the KL models")
+        self.lags.flags.writeable = False
+        blocks = [slice(a, b) for a, b in zip(self.offsets, self.offsets[1:])]
+        self.hs = np.array([[[np.linalg.norm(lag[k, j]) for k in blocks]
+                             for j in blocks] for lag in self.lags])
+
+    @property
+    def L(self) -> int:
+        return len(self.lags)
 
     @property
     def p(self) -> int:
         return len(self.kl_models)
 
+    @property
+    def psi(self) -> list:
+        # not cached: kept on each of a path sweep's estimates, the views
+        # would take about as much memory as the lag arrays
+        o = self.offsets
+        return [[[lag[o[k]:o[k + 1], o[j]:o[j + 1]] for k in range(self.p)]
+                 for j in range(self.p)] for lag in self.lags]
+
     def evaluate(self, h: int, j: int, k: int, u, v) -> np.ndarray:
+        o = self.offsets
         phi_j = self.kl_models[j].eigenfunctions(u)
         phi_k = self.kl_models[k].eigenfunctions(v)
-        return phi_j @ self.psi[h - 1][j][k].T @ phi_k.T
+        block = self.lags[h - 1][o[k]:o[k + 1], o[j]:o[j + 1]]
+        return phi_j @ block.T @ phi_k.T
 
     def support(self) -> np.ndarray:
         return (self.hs > 0).any(axis=0)
@@ -681,28 +683,28 @@ class KernelEstimate:
     def from_json(cls, text: str) -> "KernelEstimate":
         obj = json.loads(text)
         kl_models = [KLModel.from_dict(d) for d in obj["kl_models"]]
-        psi = [[[np.asarray(b, dtype=float) for b in row] for row in lag]
-               for lag in obj["psi"]]
-        return _kernel_estimate(int(obj["L"]), kl_models, psi)
-
-
-def _nested_norms(psi) -> np.ndarray:
-    """Frobenius norms of the blocks of a three-level nested psi."""
-    return np.array([[[np.linalg.norm(b) for b in inner] for inner in outer]
-                     for outer in psi])
+        return _kernel_estimate(int(obj["L"]), kl_models, obj["psi"])
 
 
 def _kernel_estimate(L: int, kl_models: list, psi: list) -> KernelEstimate:
-    return KernelEstimate(L=L, kl_models=kl_models, psi=psi,
-                          hs=_nested_norms(psi))
+    """Estimate from nested blocks: ``psi[h-1][j][k]`` is row j's (q_k, q_j)
+    block."""
+    if len(psi) != L:
+        raise DataError(f"psi has {len(psi)} lags, expected L={L}")
+    try:
+        lags = np.array([np.hstack([np.vstack(row) for row in lag])
+                         for lag in psi], dtype=float)
+    except ValueError as exc:
+        raise DataError(f"psi blocks do not fit together: {exc}") from None
+    return KernelEstimate(kl_models=kl_models, lags=lags)
 
 
 def recover_kernels(fits: list[FitResult], kl_models: list[KLModel]) -> KernelEstimate:
-    """Assemble the functional estimates from the p row fits."""
+    """Assemble the functional estimates from the p row fits: row j's
+    ``psi_stacked`` is column slice j of the stacked lag arrays."""
     if len(fits) != len(kl_models):
         raise ConfigError("need one fit per variable")
-    rows = [f.psi for f in sorted(fits, key=lambda f: f.j)]
-    L = len(rows[0])
-    psi = [[row[h] for row in rows] for h in range(L)]
-    return KernelEstimate(L=L, kl_models=kl_models, psi=psi,
-                          hs=_nested_norms(rows).transpose(1, 0, 2))
+    stacked = np.hstack([f.psi_stacked
+                         for f in sorted(fits, key=lambda f: f.j)])
+    q = stacked.shape[1]
+    return KernelEstimate(kl_models=kl_models, lags=stacked.reshape(-1, q, q))

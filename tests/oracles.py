@@ -5,13 +5,17 @@ rather than the package internals: de Boor recursion for B-splines, dense-grid
 quadrature for Gram matrices, cyclic blockwise proximal coordinate descent for
 the group lasso, and a trace-based characteristic polynomial for spectral
 radii.  ``fista_loop``, ``fista_row``, ``path_rows``, ``kkt_loop``, the FPCA
-refits, ``stability_loop`` and ``simulate_scores_loop`` are the package's
-earlier, slower formulations, kept as references its faster ones must match.
+refits, ``stability_loop``, ``simulate_scores_loop`` and
+``relative_error_loop`` are the package's earlier, slower formulations, kept
+as references its faster ones must match.
 """
 
 import math
 
 import numpy as np
+
+from fvar.basis import evaluate_basis
+from fvar.errors import ConfigError, DataError
 
 
 def deboor_basis(x, knots, degree, n_basis):
@@ -409,3 +413,31 @@ def simulate_scores_loop(n, p, lams, ar, rng):
     for t in range(1, n):
         x[t] = ar * x[t - 1] + shocks[t - 1]
     return x
+
+
+def relative_error_loop(kernels, truth, grid_size=200):
+    """||Ahat - A||_F / ||A||_F in the functional Frobenius norm, with every
+    Hilbert-Schmidt norm evaluated by trapezoid quadrature on a common grid."""
+    if kernels.L != truth.L:
+        raise ConfigError("lag orders of estimate and truth differ")
+    a, b = truth.basis.domain
+    u = np.linspace(a, b, grid_size)
+    w = np.full(grid_size, (b - a) / (grid_size - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+
+    S = evaluate_basis(truth.basis, u)
+    phis = [m.eigenfunctions(u) for m in kernels.kl_models]
+    num = 0.0
+    den = 0.0
+    for h in range(truth.L):
+        for j in range(truth.p):
+            for k in range(truth.p):
+                true_k = S @ truth.blocks[h, j, k] @ S.T
+                est_k = phis[j] @ kernels.psi[h][j][k].T @ phis[k].T
+                diff = est_k - true_k
+                num += float(w @ (diff * diff) @ w)
+                den += float(w @ (true_k * true_k) @ w)
+    if den == 0.0:
+        raise DataError("reference model has identically zero kernels")
+    return float(np.sqrt(num / den))

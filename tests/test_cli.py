@@ -224,6 +224,18 @@ class TestPathAndSelect:
         assert records[0]["active_blocks"] == 0
         assert "AUROC" in capsys.readouterr().out
 
+    def test_truth_with_other_variable_count_is_config_error(
+            self, sim_dir, tmp_path, capsys):
+        other = tmp_path / "sim4"
+        assert run("simulate", "--n", 40, "--p", 4, "--grid-size", 24,
+                   "--basis-dim", 4, "--seed", 6, "--out", other) == 0
+        assert run("path", "--panel", sim_dir / "panel.npz", "--basis-dim", 8,
+                   "--q", 3, "--eta", 1e-4, "--n-gammas", 4, "--truth",
+                   other / "model.json", "--out", tmp_path / "path") == 2
+        err = capsys.readouterr().err
+        assert "p=3" in err and "p=4" in err
+        assert not (tmp_path / "path" / "roc.csv").exists()
+
     def test_select_writes_tables(self, sim_dir, tmp_path):
         out = tmp_path / "select"
         assert run("select", "--panel", sim_dir / "panel.npz", "--basis",

@@ -6,14 +6,20 @@ import numpy as np
 import pytest
 
 from fvar.errors import ConfigError, DataError
+from fvar.fpca import KLModel
 from fvar.network import (cidr_transform, extract_network, read_price_csv,
                           relative_error, roc_and_auroc, roc_points)
+from fvar.pipeline import fit_vfar
 from fvar.solver import fit_row, gamma_max, recover_kernels
 from fvar.solver import KernelEstimate, _kernel_estimate
-from fvar.vfar import gen_block_banded, simulate_coefficients
+from fvar.vfar import (VFARModel, gen_block_banded, simulate,
+                       simulate_coefficients)
 
 from helpers import kl_from_scores, oracle_design
 from fvar.basis import BasisSpec
+from oracles import relative_error_loop
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def kernels_from_weights(weights, q=2):
@@ -148,6 +154,39 @@ class TestRelativeError:
     def test_double_estimate_unit_error(self):
         est, model = self.make_pair(2.0)
         assert relative_error(est, model) == pytest.approx(1.0, rel=1e-6)
+
+    def test_matches_grid_loop_on_mixed_orders_and_two_lags(self):
+        rng = np.random.default_rng(10)
+        basis = BasisSpec("bspline", 6)
+        sizes = (1, 2, 3)
+        kl = [KLModel(basis=basis, mean_coeffs=np.zeros(6),
+                      eigenvalues=np.ones(q),
+                      eigen_coeffs=rng.standard_normal((q, 6)),
+                      scores=np.zeros((5, q))) for q in sizes]
+        psi = [[[rng.standard_normal((qk, qj)) for qk in sizes]
+                for qj in sizes] for _ in range(2)]
+        truth = VFARModel(L=2, p=3, basis=basis,
+                          blocks=0.3 * rng.standard_normal((2, 3, 3, 6, 6)))
+        est = _kernel_estimate(2, kl, psi)
+        expected = relative_error_loop(est, truth)
+        assert relative_error(est, truth) == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_grid_loop_on_a_fitted_panel(self):
+        model = gen_block_banded(p=20, G=5, bandwidth=2, seed=11)
+        panel = simulate(model, 80, grid=np.linspace(0, 1, 30), seed=11)
+        est, *_ = fit_vfar(panel, BasisSpec("bspline", 8), q_grid=[3],
+                           eta_grid=[0.0], gamma=2.0)
+        assert est.support().any()
+        expected = relative_error_loop(est, model)
+        assert relative_error(est, model) == pytest.approx(expected, rel=1e-12)
+
+    def test_variable_count_mismatch_is_config_error(self):
+        est, _ = self.make_pair(1.0)
+        other = gen_block_banded(p=4, G=4, bandwidth=1, seed=6)
+        with pytest.raises(ConfigError, match="p=3 .* p=4"):
+            relative_error(est, other)
+        with pytest.raises(ConfigError, match="p=3 .* p=4"):
+            roc_and_auroc([est], other)
 
 
 class TestCidr:

@@ -1,10 +1,12 @@
 """Tests for the design assembly, block FISTA solver, selection and recovery."""
 
+import json
+
 import numpy as np
 import pytest
 
 from fvar.basis import BasisSpec, evaluate_basis
-from fvar.errors import ConfigError, NumericalError
+from fvar.errors import ConfigError, DataError, NumericalError
 from fvar.fpca import KLModel, fit_regularized_fpca
 from fvar.pipeline import sweep_path
 from fvar.solver import (KernelEstimate, block_fista_gram, build_design,
@@ -273,9 +275,26 @@ class TestMixedBlocks:
         saved = fit.psi[1][2]
         fit.psi[1][2] = 2.0 * saved + 1.0
         np.testing.assert_array_equal(fit.psi[1][2], 2.0 * saved + 1.0)
-        np.testing.assert_array_equal(est.psi[1][0][2], 2.0 * saved + 1.0)
+        # the estimate keeps the block the fit was recovered from
+        np.testing.assert_array_equal(est.psi[1][0][2], saved)
         fit.psi[1][2] = saved
         np.testing.assert_array_equal(fit.psi[1][2], saved)
+
+    def test_psi_views_are_read_only_fit_blocks(self):
+        design = mixed_block_design()
+        fits = [fit_row(j, design, 0.3 * gamma_max(design, j))
+                for j in range(design.p)]
+        est = recover_kernels(fits, [kl_from_scores(r, BasisSpec("fourier", 3))
+                                     for r in design.responses])
+        for h in range(design.L):
+            for j in range(design.p):
+                for k in range(design.p):
+                    for block in (fits[j].psi[h][k], est.psi[h][j][k]):
+                        assert not block.flags.writeable
+                        with pytest.raises(ValueError):
+                            block[...] = 0.0
+                    np.testing.assert_array_equal(est.psi[h][j][k],
+                                                  fits[j].psi[h][k])
 
     def test_fit_and_kernel_serialization_exact(self):
         design = mixed_block_design()
@@ -290,7 +309,9 @@ class TestMixedBlocks:
         kl = [kl_from_scores(r, BasisSpec("fourier", 3))
               for r in design.responses]
         est = recover_kernels(fits, kl)
-        back = KernelEstimate.from_json(est.to_json())
+        text = est.to_json()
+        back = KernelEstimate.from_json(text)
+        assert back.to_json() == text
         np.testing.assert_array_equal(back.hs, est.hs)
         for h in range(design.L):
             for j in range(design.p):
@@ -300,6 +321,21 @@ class TestMixedBlocks:
                 for k in range(design.p):
                     np.testing.assert_array_equal(back.psi[h][j][k],
                                                   est.psi[h][j][k])
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda obj: obj["psi"][0][2][1].pop(), "do not fit together"),
+        (lambda obj: obj.__setitem__("L", 3), "expected L=3")])
+    def test_malformed_kernel_json_is_data_error(self, edit, match):
+        design = mixed_block_design()
+        est = recover_kernels(
+            [fit_row(j, design, 0.3 * gamma_max(design, j))
+             for j in range(design.p)],
+            [kl_from_scores(r, BasisSpec("fourier", 3))
+             for r in design.responses])
+        obj = json.loads(est.to_json())
+        edit(obj)
+        with pytest.raises(DataError, match=match):
+            KernelEstimate.from_json(json.dumps(obj))
 
 
 class TestBlockNorms:
@@ -686,8 +722,8 @@ class TestRecoverKernels:
         kl = [kl_from_scores(coeffs[:, j, :], model.basis) for j in range(3)]
         fits = []
         for j in range(3):
-            psi = [[model.blocks[0, j, k].T for k in range(3)]]
-            fits.append(type("F", (), {"j": j, "psi": psi})())
+            stacked = np.vstack([model.blocks[0, j, k].T for k in range(3)])
+            fits.append(type("F", (), {"j": j, "psi_stacked": stacked})())
         est = recover_kernels(fits, kl)
         u = np.linspace(0, 1, 30)
         for j in range(3):
