@@ -55,10 +55,13 @@ class BasisSpec:
                            "domain": list(self.domain)})
 
     @classmethod
-    def from_json(cls, text: str) -> "BasisSpec":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "BasisSpec":
         return cls(kind=obj["kind"], dimension=int(obj["dimension"]),
                    domain=tuple(obj["domain"]))
+
+    @classmethod
+    def from_json(cls, text: str) -> "BasisSpec":
+        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -172,8 +172,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_path(args) -> int:
+    inputs = _stage1_inputs(args)
+    truth = _load_model(args.truth) if args.truth else None
+    if truth is not None and truth.p != inputs["panel"].p:
+        raise ConfigError(f"the panel has p={inputs['panel'].p} variables but "
+                          f"the truth has p={truth.p}")
     out = _outdir(args)
-    stage1 = fpca_panel(**_stage1_inputs(args))
+    stage1 = fpca_panel(**inputs)
     design = build_design(stage1.kl_models, args.L)
     paths, estimates = sweep_path(design, stage1.kl_models,
                                   n_gammas=args.n_gammas,
@@ -187,8 +192,7 @@ def cmd_path(args) -> int:
     } for i in range(len(estimates))]
     (out / "path.json").write_text(json.dumps(records))
     _stage1_csv(out, stage1)
-    if args.truth:
-        truth = _load_model(args.truth)
+    if truth is not None:
         report = roc_and_auroc(estimates, truth)
         report.to_csv(out / "roc.csv")
         print(f"AUROC over {len(estimates)} path points: {report.auroc:.4f}")

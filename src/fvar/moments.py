@@ -186,10 +186,13 @@ def var1_spectral_density(C: np.ndarray, noise_cov: np.ndarray,
     return 0.5 * (f + f.conj().T)
 
 
-def _sym_inv_sqrt(S: np.ndarray) -> np.ndarray:
+def sym_inv_sqrt(S: np.ndarray, singular: str) -> np.ndarray:
+    """The inverse square root of the symmetric part of S; a
+    ``NumericalError`` with the message ``singular`` when it is
+    numerically singular."""
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     if w.min() <= 1e-12 * max(w.max(), 1.0):
-        raise NumericalError("covariance matrix is numerically singular")
+        raise NumericalError(singular)
     return (V * w ** -0.5) @ V.T
 
 
@@ -225,7 +228,8 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
     idx = _check_subset(subset, d)
     S0 = var1_stationary_cov(C, N)
     left = np.zeros((idx.size, d))
-    left[:, idx] = _sym_inv_sqrt(S0[np.ix_(idx, idx)])
+    left[:, idx] = sym_inv_sqrt(S0[np.ix_(idx, idx)],
+                                "covariance matrix is numerically singular")
 
     thetas = np.linspace(-np.pi, np.pi, theta_grid_size)[: (theta_grid_size + 1) // 2]
     batch = max(1, _BATCH_BYTES // (16 * d * d))

@@ -1,6 +1,7 @@
-"""End-to-end orchestration: per-variable FPCA, row fits, path sweeps.
+"""End-to-end orchestration: stage-1 FPCA, row fits, path sweeps.
 
-Everything runs on the calling thread.  The per-variable FPCA fits and the
+Everything runs on the calling thread.  Stage 1 (``fpca.fpca_panel``,
+re-exported here) handles the whole panel in stacked arrays; the
 fixed-gamma row fits loop over the variables; a regularization path makes
 one batched solve per path index for every row
 (``solver.regularization_path``).  ``fpca_panel`` and ``sweep_path``
@@ -10,75 +11,12 @@ nothing reads: the benchmark in ``benchmarks/`` passes them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
-
 from .basis import BasisSpec
-from .errors import DataError
-from .fpca import cross_validate, fit_regularized_fpca
+from .fpca import fpca_panel, truncate_models  # noqa: F401 (re-exported)
 from .panel import CurvePanel
 from .solver import (DesignSet, FitResult, KernelEstimate, best_fit,
                      build_design, check_criterion, fit_row, recover_kernels,
                      regularization_path)
-
-
-@dataclass
-class PanelFPCA:
-    kl_models: list
-    selections: list  # per variable (q, eta)
-
-
-EIGEN_FLOOR = 1e-2
-
-
-def fpca_panel(panel: CurvePanel, basis: BasisSpec, q_grid, eta_grid,
-               folds: int = 5, seed: int = 0, threads: int = 1) -> PanelFPCA:
-    """Fit regularized FPCA to every variable, cross-validating (q, eta)
-    whenever the grids leave a choice.
-
-    Components whose eigenvalue falls below ``EIGEN_FLOOR`` times the leading
-    one are dropped: the downstream regression standardizes each score block,
-    which amplifies a direction by 1 / sqrt(lambda_l / lambda_1), so keeping
-    near-degenerate components injects unbounded noise into the recovered
-    kernels.
-
-    A variable whose curves are the same at every time point has no
-    variance to decompose and is a ``DataError``.  ``threads`` is not
-    read.
-    """
-    constant = np.ptp(panel.values, axis=0).max(axis=1) == 0
-    if constant.any():
-        j = int(np.argmax(constant))
-        raise DataError(f"variable {j} ({panel.ids[j]}) has zero variance: "
-                        f"its curves are the same at every time point")
-    q_grid = [int(q) for q in q_grid]
-    eta_grid = [float(e) for e in eta_grid]
-
-    stage1 = PanelFPCA(kl_models=[], selections=[])
-    for j in range(panel.p):
-        curves = panel.values[:, j, :]
-        if len(q_grid) == 1 and len(eta_grid) == 1:
-            q, eta = q_grid[0], eta_grid[0]
-        else:
-            cv = cross_validate(curves, panel.grid, basis, q_grid, eta_grid,
-                                folds=folds, seed=seed * 100003 + j)
-            q, eta = cv.q, cv.eta
-        model = fit_regularized_fpca(curves, panel.grid, basis, q, eta)
-        if model.q > 1:
-            keep = int(np.sum(model.eigenvalues >=
-                              EIGEN_FLOOR * model.eigenvalues[0]))
-            if keep < model.q:
-                model = truncate_models([model], keep)[0]
-        stage1.kl_models.append(model)
-        stage1.selections.append((model.q, eta))
-    return stage1
-
-
-def truncate_models(kl_models, q: int) -> list:
-    """Keep only the leading q components of each variable."""
-    return [replace(m, eigenvalues=m.eigenvalues[:q], eigen_coeffs=m.eigen_coeffs[:q],
-                    scores=m.scores[:, :q]) for m in kl_models]
 
 
 def fit_rows(design: DesignSet, gamma: float | None = None,

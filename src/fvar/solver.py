@@ -45,8 +45,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, parse_json
 from .fpca import KLModel
+from .moments import sym_inv_sqrt
 
 IC_FLOOR = 1e-300
 # relative objective increase, on the scale of ||Y||_F^2, that a
@@ -136,15 +137,6 @@ class FitResult:
         }
 
 
-def _sym_inv_root(gram_block: np.ndarray, k: int) -> np.ndarray:
-    sym = 0.5 * (gram_block + gram_block.T)
-    w, V = np.linalg.eigh(sym)
-    if w.min() <= 1e-12 * max(w.max(), 1.0):
-        raise NumericalError(
-            f"score Gram of variable {k} is singular; use a smaller q for it")
-    return (V * (w ** -0.5)) @ V.T
-
-
 def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
     """Assemble the standardized lagged design.
 
@@ -165,7 +157,8 @@ def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
     for h in range(1, L + 1):
         for k, s in enumerate(scores):
             V = s[L - h: n - h]
-            Dinv = _sym_inv_root(V.T @ V / n_eff, k)
+            Dinv = sym_inv_sqrt(V.T @ V / n_eff, f"score Gram of variable {k} "
+                                f"is singular; use a smaller q for it")
             roots_inv.append(Dinv)
             cols.append(V @ Dinv)
 
@@ -681,9 +674,9 @@ class KernelEstimate:
 
     @classmethod
     def from_json(cls, text: str) -> "KernelEstimate":
-        obj = json.loads(text)
-        kl_models = [KLModel.from_dict(d) for d in obj["kl_models"]]
-        return _kernel_estimate(int(obj["L"]), kl_models, obj["psi"])
+        return parse_json(text, lambda obj: _kernel_estimate(
+            int(obj["L"]), [KLModel.from_dict(d) for d in obj["kl_models"]],
+            obj["psi"]), "kernel estimate")
 
 
 def _kernel_estimate(L: int, kl_models: list, psi: list) -> KernelEstimate:

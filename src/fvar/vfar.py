@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, evaluate_basis
-from .errors import ConfigError, NonstationaryError
+from .errors import ConfigError, NonstationaryError, parse_json
 from .moments import spectral_radius_matrix as spectral_radius
 from .panel import CurvePanel
 from .streams import rng_stream
@@ -106,16 +106,14 @@ class VFARModel:
 
     @classmethod
     def from_json(cls, text: str) -> "VFARModel":
-        obj = json.loads(text)
-        basis = BasisSpec(kind=obj["basis"]["kind"],
-                          dimension=int(obj["basis"]["dimension"]),
-                          domain=tuple(obj["basis"]["domain"]))
-        return cls(L=int(obj["L"]), p=int(obj["p"]), basis=basis,
-                   blocks=np.asarray(obj["blocks"], dtype=float),
-                   noise_scale=float(obj["noise_scale"]),
-                   measurement_noise=float(obj["measurement_noise"]),
-                   noise_vars=obj.get("noise_vars"),
-                   meta=obj.get("meta", {}))
+        return parse_json(text, lambda obj: cls(
+            L=int(obj["L"]), p=int(obj["p"]),
+            basis=BasisSpec.from_dict(obj["basis"]),
+            blocks=np.asarray(obj["blocks"], dtype=float),
+            noise_scale=float(obj["noise_scale"]),
+            measurement_noise=float(obj["measurement_noise"]),
+            noise_vars=obj.get("noise_vars"), meta=obj.get("meta", {})),
+            "model")
 
 
 def _rescaled(blocks: np.ndarray, rng, p: int, G: int) -> tuple[np.ndarray, float]:

@@ -441,3 +441,38 @@ def relative_error_loop(kernels, truth, grid_size=200):
     if den == 0.0:
         raise DataError("reference model has identically zero kernels")
     return float(np.sqrt(num / den))
+
+
+def fpca_panel_loop(panel, basis, q_grid, eta_grid, folds=5, seed=0):
+    """``fvar.fpca.fpca_panel`` one variable at a time: cross-validation
+    from ``cross_validate_refit``, the chosen model from ``fpca_refit``, then
+    the ``EIGEN_FLOOR`` truncation.  Returns (kl_models, selections)."""
+    from fvar.basis import gram_matrices
+    from fvar.fpca import EIGEN_FLOOR, KLModel, project_to_basis, truncate_models
+
+    grams = gram_matrices(basis)
+    B = evaluate_basis(basis, panel.grid)
+    q_grid = [int(q) for q in q_grid]
+    eta_grid = [float(e) for e in eta_grid]
+    kl_models, selections = [], []
+    for j in range(panel.p):
+        curves = panel.values[:, j, :]
+        delta = project_to_basis(curves, panel.grid, basis)
+        if len(q_grid) == 1 and len(eta_grid) == 1:
+            q, eta = q_grid[0], eta_grid[0]
+        else:
+            table = cross_validate_refit(delta, curves, B, grams, q_grid,
+                                         eta_grid, folds, seed * 100003 + j)
+            q, eta, _ = min(table, key=lambda row: (row[2], row[0], row[1]))
+        mean, zetas, lambdas, scores, truncated = fpca_refit(delta, grams, q, eta)
+        model = KLModel(basis=basis, mean_coeffs=mean, eigenvalues=lambdas,
+                        eigen_coeffs=zetas, scores=scores, smoothing=eta,
+                        truncated=truncated)
+        if model.q > 1:
+            keep = int(np.sum(model.eigenvalues >=
+                              EIGEN_FLOOR * model.eigenvalues[0]))
+            if keep < model.q:
+                model = truncate_models([model], keep)[0]
+        kl_models.append(model)
+        selections.append((model.q, eta))
+    return kl_models, selections

@@ -234,7 +234,30 @@ class TestPathAndSelect:
                    other / "model.json", "--out", tmp_path / "path") == 2
         err = capsys.readouterr().err
         assert "p=3" in err and "p=4" in err
-        assert not (tmp_path / "path" / "roc.csv").exists()
+        for name in ("roc.csv", "path.json", "fpca_selection.csv"):
+            assert not (tmp_path / "path" / name).exists()
+
+    def test_missing_truth_is_config_error_before_stage_one(
+            self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "path"
+        assert run("path", "--panel", sim_dir / "panel.npz", "--basis-dim", 8,
+                   "--q", 3, "--eta", 1e-4, "--n-gammas", 4, "--truth",
+                   tmp_path / "missing.json", "--out", out) == 2
+        assert "model file not found" in capsys.readouterr().err
+        assert not (out / "path.json").exists()
+        assert not (out / "fpca_selection.csv").exists()
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"L": 1}', "no key 'p'"), ("{", "malformed: Expecting"),
+        ('{"L": 1, "p": 3, "basis": 4}', "malformed")])
+    def test_malformed_truth_is_data_error(self, sim_dir, tmp_path, capsys,
+                                           text, match):
+        truth = tmp_path / "model.json"
+        truth.write_text(text)
+        assert run("path", "--panel", sim_dir / "panel.npz", "--basis-dim", 8,
+                   "--q", 3, "--eta", 1e-4, "--n-gammas", 4, "--truth", truth,
+                   "--out", tmp_path / "path") == 2
+        assert match in capsys.readouterr().err
 
     def test_select_writes_tables(self, sim_dir, tmp_path):
         out = tmp_path / "select"
@@ -288,6 +311,21 @@ class TestNetwork:
     def test_rule_required(self, fit_dir, tmp_path):
         assert run("network", "--kernels", fit_dir / "kernels.json",
                    "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda obj: obj["kl_models"][1].pop("basis"), "no key 'basis'"),
+        (lambda obj: obj.pop("psi"), "no key 'psi'"),
+        (lambda obj: obj.__setitem__("L", "two"), "malformed")])
+    def test_malformed_kernels_is_data_error(self, fit_dir, tmp_path, capsys,
+                                             edit, match):
+        obj = json.loads((fit_dir / "kernels.json").read_text())
+        edit(obj)
+        path = tmp_path / "kernels.json"
+        path.write_text(json.dumps(obj))
+        assert run("network", "--kernels", path, "--indegree", 1,
+                   "--out", tmp_path / "net") == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "net" / "graph.json").exists()
 
 
 class TestStability:

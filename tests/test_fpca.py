@@ -6,10 +6,14 @@ import scipy.linalg
 
 from fvar.basis import BasisSpec, evaluate_basis, gram_matrices
 from fvar.errors import ConfigError
-from fvar.fpca import (cross_validate, fit_regularized_fpca, project_to_basis,
-                       reconstruct)
+from fvar.fpca import (EIGEN_FLOOR, cross_validate, fit_regularized_fpca,
+                       fpca_panel, project_to_basis, reconstruct)
+from fvar.panel import CurvePanel
 
-from oracles import cross_validate_refit, fpca_components, fpca_refit
+from oracles import (cross_validate_refit, fpca_components, fpca_panel_loop,
+                     fpca_refit)
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 GRID = np.linspace(0.0, 1.0, 50)
 
@@ -250,3 +254,80 @@ class TestAgainstRefit:
         with pytest.raises(ConfigError, match="nonnegative"):
             cross_validate(curves, GRID, self.BASIS, [2], [0.0, -1e-3],
                            folds=4, seed=0)
+
+
+def mixed_panel(n=62, seed=21):
+    """Six variables that CV tells apart: exact rank one (fewer components
+    than any q > 1 asks for), rank two, one dominant direction (cut by
+    ``EIGEN_FLOOR``), a random walk, one smooth factor in strong noise (CV
+    smooths it) and a rank-three mixture.  n = 62 is not a multiple of the BLAS kernel width."""
+    rng = np.random.default_rng(seed)
+    waves = np.vstack([np.sqrt(2) * np.sin(2 * np.pi * k * GRID)
+                       for k in (1, 2, 3)])
+    z = rng.standard_normal((n, 3))
+    noise = rng.standard_normal((n, GRID.size))
+    values = np.stack([
+        np.outer(z[:, 0], waves[0]),
+        z[:, :2] * [2.0, 1.0] @ waves[:2] + 0.05 * noise,
+        z[:, :2] * [1.0, 0.02] @ waves[:2] + 1e-3 * noise,
+        rng.standard_normal((n, GRID.size)).cumsum(axis=1) / 5.0,
+        np.outer(z[:, 2], np.sin(np.pi * GRID)) + 0.5 * noise,
+        z * [3.0, 2.0, 1.0] @ waves + 0.2 * rng.standard_normal((n, GRID.size)),
+    ], axis=1)
+    return CurvePanel(values=values, grid=GRID)
+
+
+class TestPanel:
+    """The stacked panel against one variable at a time."""
+
+    BASIS = BasisSpec("bspline", 9)
+
+    def assert_equal_to_loop(self, panel, q_grid, eta_grid, folds=4, seed=3):
+        stage1 = fpca_panel(panel, self.BASIS, q_grid, eta_grid, folds=folds,
+                            seed=seed)
+        models, selections = fpca_panel_loop(panel, self.BASIS, q_grid,
+                                             eta_grid, folds=folds, seed=seed)
+        assert stage1.selections == selections
+        for got, want in zip(stage1.kl_models, models, strict=True):
+            for name in ("mean_coeffs", "eigenvalues", "eigen_coeffs", "scores"):
+                np.testing.assert_array_equal(getattr(got, name),
+                                              getattr(want, name))
+            assert (got.smoothing, got.truncated) == (want.smoothing,
+                                                      want.truncated)
+        return stage1
+
+    def test_cv_grid_with_different_choices(self):
+        stage1 = self.assert_equal_to_loop(mixed_panel(), [1, 2, 3, 4],
+                                           [0.0, 1e-5, 1e-3])
+        assert len(set(stage1.selections)) > 2
+        assert len({eta for _, eta in stage1.selections}) > 1
+
+    def test_single_candidate(self):
+        self.assert_equal_to_loop(mixed_panel(), [2], [1e-4])
+
+    def test_eigen_floor_truncation(self):
+        stage1 = self.assert_equal_to_loop(mixed_panel(), [3], [0.0])
+        m = stage1.kl_models[2]
+        assert m.q == 1 and not m.truncated
+        assert stage1.kl_models[5].q == 3
+        lams = fit_regularized_fpca(mixed_panel().values[:, 2], GRID,
+                                    self.BASIS, q=3).eigenvalues
+        assert lams[1] < EIGEN_FLOOR * lams[0]
+
+    def test_q_above_rank_is_truncated(self):
+        stage1 = self.assert_equal_to_loop(mixed_panel(), [4], [1e-2])
+        m = stage1.kl_models[0]
+        assert m.truncated and m.q == 1
+        assert not any(m.truncated for m in stage1.kl_models[1:])
+
+    @pytest.mark.parametrize("p", [2, 6])
+    def test_eigh_calls_do_not_grow_with_p(self, p, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a.shape) or eigh(a))
+        panel = mixed_panel()
+        panel = CurvePanel(values=panel.values[:, :p], grid=GRID)
+        etas, folds = [0.0, 1e-4, 1e-1], 4
+        fpca_panel(panel, self.BASIS, [1, 2, 3], etas, folds=folds)
+        assert len(calls) <= len(etas) * (1 + folds) + len(etas)
