@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration/data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -23,9 +22,8 @@ from .basis import BasisSpec
 from .errors import ConfigError, DataError, NumericalError
 from .harness import SCENARIOS, run_concentration
 from .moments import stability_sweep
-from .network import (cidr_transform, extract_network, read_price_csv,
-                      roc_and_auroc)
-from .panel import CurvePanel
+from .network import cidr_transform, extract_network, roc_and_auroc
+from .panel import CurvePanel, read_price_csv, write_csv
 from .pipeline import fit_vfar, fpca_panel, sweep_path
 from .solver import KernelEstimate, accel_backend, build_design
 from .vfar import VFARModel, gen_block_banded, gen_block_sparse, simulate
@@ -59,15 +57,6 @@ def _write_manifest(args, out: Path) -> None:
         },
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
 
 
 def _load_panel(path: str) -> CurvePanel:
@@ -138,8 +127,8 @@ def _stage1_inputs(args) -> dict:
 
 
 def _stage1_csv(out: Path, stage1) -> None:
-    _write_csv(out / "fpca_selection.csv", ["variable", "q", "eta"],
-               [(j, q, eta) for j, (q, eta) in enumerate(stage1.selections)])
+    write_csv(out / "fpca_selection.csv", ["variable", "q", "eta"],
+              [(j, q, eta) for j, (q, eta) in enumerate(stage1.selections)])
 
 
 def _fit(args, gamma):
@@ -153,8 +142,8 @@ def _fit(args, gamma):
         tol=args.tol, max_iter=args.max_iter)
     _stage1_csv(out, stage1)
     if ic_rows:
-        _write_csv(out / "ic_table.csv",
-                   ["variable", "gamma", "rss", "df", "aic", "bic"], ic_rows)
+        write_csv(out / "ic_table.csv",
+                  ["variable", "gamma", "rss", "df", "aic", "bic"], ic_rows)
     return out, kernels, fits
 
 
@@ -162,10 +151,10 @@ def cmd_fit(args) -> int:
     out, kernels, fits = _fit(args, args.gamma)
     (out / "kernels.json").write_text(kernels.to_json())
     (out / "fits.json").write_text(json.dumps([f.to_dict() for f in fits]))
-    _write_csv(out / "hs_norms.csv", ["lag", "target", "source", "hs_norm"],
-               [(h + 1, j, k, float(kernels.hs[h, j, k]))
-                for h in range(kernels.L)
-                for j in range(kernels.p) for k in range(kernels.p)])
+    write_csv(out / "hs_norms.csv", ["lag", "target", "source", "hs_norm"],
+              [(h + 1, j, k, float(kernels.hs[h, j, k]))
+               for h in range(kernels.L)
+               for j in range(kernels.p) for k in range(kernels.p)])
     _write_manifest(args, out)
     print(f"fitted {kernels.p} rows (L={args.L}); outputs in {out}")
     return 0
@@ -236,8 +225,8 @@ def cmd_stability(args) -> int:
     out = _outdir(args)
     rows = stability_sweep(_floats(args.a_values), _floats(args.b_values),
                            sigma=args.sigma, theta_grid_size=args.theta_grid)
-    _write_csv(out / "stability.csv",
-               ["a", "b", "operator_norm", "stability_measure"], rows)
+    write_csv(out / "stability.csv",
+              ["a", "b", "operator_norm", "stability_measure"], rows)
     _write_manifest(args, out)
     print(f"stability sweep over {len(rows)} (a, b) pairs written to {out}")
     return 0
@@ -267,8 +256,8 @@ def cmd_verify_concentration(args) -> int:
                 for m in report.medians
             },
         }
-    _write_csv(out / "rates.csv",
-               ["n", "sigma_max", "eigen_rel", "score_scaled"], report.rows())
+    write_csv(out / "rates.csv",
+              ["n", "sigma_max", "eigen_rel", "score_scaled"], report.rows())
     (out / "report.json").write_text(json.dumps(result, indent=2))
     _write_manifest(args, out)
     for name, slope in report.slopes.items():
@@ -417,7 +406,14 @@ def main(argv=None) -> int:
         if not cfg_path.exists():
             print(f"config file not found: {cfg_path}", file=sys.stderr)
             return 2
-        defaults = json.loads(cfg_path.read_text())
+        try:
+            defaults = json.loads(cfg_path.read_text())
+        except ValueError:  # invalid JSON, or bytes that are not UTF-8
+            defaults = None
+        if not isinstance(defaults, dict):
+            print(f"config file {cfg_path} must hold a JSON object of flag "
+                  "defaults", file=sys.stderr)
+            return 2
         unknown = set(defaults) - set(vars(args))
         if unknown:
             print(f"config keys not recognized by {args.command}: "

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import csv
 import json
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import evaluate_basis
 from .errors import ConfigError, DataError
-from .panel import CurvePanel
+from .panel import CurvePanel, read_price_csv, write_csv  # noqa: F401
 from .solver import KernelEstimate
 from .vfar import VFARModel
 
@@ -74,12 +72,8 @@ class EvalReport:
     auroc: float
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fpr", "tpr"])
-            for f, t in zip(self.fpr, self.tpr):
-                writer.writerow([repr(float(f)), repr(float(t))])
-            writer.writerow(["auroc", repr(float(self.auroc))])
+        write_csv(path, ["fpr", "tpr"],
+                  [*zip(self.fpr, self.tpr), ("auroc", self.auroc)])
 
 
 def extract_network(kernels: KernelEstimate, threshold: float | None = None,
@@ -203,67 +197,3 @@ def cidr_transform(prices: np.ndarray, grid=None, ids=None,
         grid = np.linspace(0.0, 1.0, prices.shape[2])
     return CurvePanel(values=curves, grid=np.asarray(grid, dtype=float),
                       ids=list(ids) if ids else [])
-
-
-def read_price_csv(path):
-    """Read long-format prices (date, ticker, minute_index, price).
-
-    Returns (prices, tickers, dates) with days ordered by date and tickers by
-    first appearance; missing or repeated (date, ticker, minute)
-    combinations and non-finite prices are an error.  Rows are parsed into
-    flat typed arrays and scattered into the panel at the end, so memory
-    stays near that of the panel itself.
-    """
-    dates: dict[str, int] = {}
-    tickers: dict[str, int] = {}
-    day_of, ticker_of, minutes = array("q"), array("q"), array("q")
-    values = array("d")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        try:
-            c_date, c_tick, c_minute, c_price = (
-                header.index(c) for c in ("date", "ticker", "minute_index", "price"))
-        except ValueError:
-            raise DataError(f"{path}: need columns date, ticker, minute_index "
-                            f"and price, got {header}") from None
-        for line, rec in enumerate(reader, start=2):
-            try:
-                minute, price = int(rec[c_minute]), float(rec[c_price])
-            except (IndexError, ValueError):
-                raise DataError(f"{path}, line {line}: unparsable row {rec}") from None
-            day_of.append(dates.setdefault(rec[c_date], len(dates)))
-            ticker_of.append(tickers.setdefault(rec[c_tick], len(tickers)))
-            minutes.append(minute)
-            values.append(price)
-    if not values:
-        raise DataError(f"{path}: no price rows")
-    price_arr = np.frombuffer(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(price_arr))
-    if bad.size:
-        raise DataError(f"{path}, line {bad[0] + 2}: missing or non-finite "
-                        f"price {float(price_arr[bad[0]])!r}")
-    minute_idx = np.frombuffer(minutes, dtype=np.int64)
-    if minute_idx.min() < 0:
-        raise DataError(f"{path}: negative minute_index")
-    days = sorted(dates)
-    day_rank = np.empty(len(days), dtype=np.int64)
-    day_rank[[dates[d] for d in days]] = np.arange(len(days))
-    day_idx = day_rank[np.frombuffer(day_of, dtype=np.int64)]
-    tick_idx = np.frombuffer(ticker_of, dtype=np.int64)
-    prices = np.full((len(days), len(tickers), int(minute_idx.max()) + 1), np.nan)
-    prices[day_idx, tick_idx, minute_idx] = price_arr
-    filled = prices.size - np.count_nonzero(np.isnan(prices))
-    if len(values) > filled:
-        # every price is finite, so more rows than filled cells means a
-        # repeated key; name its first repetition
-        cells = np.ravel_multi_index((day_idx, tick_idx, minute_idx), prices.shape)
-        order = np.argsort(cells, kind="stable")
-        row = int(order[1:][cells[order[1:]] == cells[order[:-1]]].min())
-        raise DataError(
-            f"{path}, line {row + 2}: duplicate row for date "
-            f"{days[day_idx[row]]}, ticker {list(tickers)[tick_idx[row]]}, "
-            f"minute {minute_idx[row]}")
-    if filled < prices.size:
-        raise DataError("price panel has missing (date, ticker, minute) cells")
-    return prices, list(tickers), days

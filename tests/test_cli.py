@@ -96,6 +96,44 @@ class TestSimulate:
         assert "negative" in err and "'a'" in err and f"t={t}" in err
         assert f"grid index {s}" in err
 
+    @pytest.mark.parametrize("text, expected", [
+        ("t,variable,grid_index\n0,a,0\n",
+         ["need columns t, variable, grid_index and value"]),
+        ("t,variable,grid_index,value\n0,a,0,1.0\n0,a,1\n",
+         ["line 3: short row"]),
+        ("t,variable,grid_index,value\n", ["no panel rows"]),
+        ("t,variable,grid_index,value\n0,a,0,1.0\n0,a,1,nan\n",
+         ["non-finite value nan", "'a'", "t=0", "grid index 1"]),
+    ], ids=["no-value-column", "short-row", "header-only", "nan-value"])
+    def test_malformed_panel_csv_is_data_error(self, tmp_path, capsys, text,
+                                               expected):
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        assert run("fit", "--panel", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert all(part in err for part in expected), err
+
+    def test_first_repeated_csv_key_in_file_order_is_named(self, tmp_path,
+                                                           capsys):
+        path = tmp_path / "dup.csv"
+        CurvePanel(values=np.ones((4, 2, 3)), grid=np.linspace(0, 1, 3),
+                   ids=["a", "b"]).to_csv(path)
+        with open(path, "a") as fh:
+            fh.write("3,b,1,5.0\n1,a,2,5.0\n")
+        assert run("fit", "--panel", path, "--out", tmp_path / "out") == 2
+        assert ("duplicate row for variable 'b' at t=3, grid index 1"
+                in capsys.readouterr().err)
+
+    def test_csv_ids_with_comma_and_quote_round_trip(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        panel = CurvePanel(values=np.arange(12.0).reshape(2, 2, 3) / 7,
+                           grid=np.linspace(0, 1, 3), ids=['a,b', 'say "hi"'])
+        panel.to_csv(first)
+        back = CurvePanel.from_csv(first)
+        assert back.ids == panel.ids
+        back.to_csv(second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_preset_desk(self, tmp_path):
         out = tmp_path / "desk"
         assert run("simulate", "--preset", "desk", "--seed", 1,
@@ -444,3 +482,13 @@ class TestConfigFile:
     def test_missing_config_is_error(self, tmp_path):
         assert run("simulate", "--config", tmp_path / "nope.json",
                    "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("text", ["{bad", "null", '"ab"', "[1]"])
+    def test_config_that_is_not_an_object_is_error(self, tmp_path, capsys,
+                                                   text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run("stability", "--config", cfg, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "must hold a JSON object" in err
+        assert not (tmp_path / "stability.csv").exists()

@@ -13,8 +13,6 @@ from fvar.panel import CurvePanel
 from oracles import (cross_validate_refit, fpca_components, fpca_panel_loop,
                      fpca_refit)
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 GRID = np.linspace(0.0, 1.0, 50)
 
 

