@@ -398,6 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_kind_error(action, value) -> str | None:
+    """What kind of JSON value the flag of ``action`` takes, if ``value`` is
+    not one; a string is left for argparse to convert as on the command line
+    and null only stands for a flag whose default is null."""
+    if value is None and action.default is None:
+        return None
+    if isinstance(action, argparse._StoreTrueAction):
+        return None if isinstance(value, bool) else "true or false"
+    if action.choices is not None and value not in action.choices:
+        return f"one of {list(action.choices)}"
+    if isinstance(value, str):
+        return None
+    kinds = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+    allowed, expected = kinds.get(action.type, ((), "a string"))
+    ok = isinstance(value, allowed) and not isinstance(value, bool)
+    return None if ok else expected
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -414,12 +432,20 @@ def main(argv=None) -> int:
             print(f"config file {cfg_path} must hold a JSON object of flag "
                   "defaults", file=sys.stderr)
             return 2
-        unknown = set(defaults) - set(vars(args))
+        command = parser.command_parsers[args.command]
+        flags = {a.dest: a for a in command._actions if a.dest != "help"}
+        unknown = set(defaults) - set(flags)
         if unknown:
             print(f"config keys not recognized by {args.command}: "
                   f"{sorted(unknown)}", file=sys.stderr)
             return 2
-        parser.command_parsers[args.command].set_defaults(**defaults)
+        for key, value in defaults.items():
+            expected = _config_kind_error(flags[key], value)
+            if expected:
+                print(f"config file {cfg_path}: key {key!r} must be {expected}; "
+                      f"got {value!r}", file=sys.stderr)
+                return 2
+        command.set_defaults(**defaults)
         args = parser.parse_args(argv)
     try:
         return args.func(args)

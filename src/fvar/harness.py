@@ -16,6 +16,17 @@ For each sample size the harness records, over replications, the median of
 
 then fits the slope of log median error against log n.  A sqrt(1/n) rate
 shows up as a slope near -1/2.
+
+The replications of one sample size are simulated together, one chunk of
+time points at a time: each replication draws its chunk from its own Philox
+stream (chunked draws equal one draw), the AR(1) recursion steps once per
+time point for the whole batch, and the last state carries into the next
+chunk.  Each chunk adds its score cross-products to a per-replication
+(p q0 x p q0) accumulator, so no full panel is ever held.  One stacked
+``eigh`` of the diagonal blocks then gives the eigenvalues, and the
+covariance of the rotated scores is R^T cov R with R the block-diagonal of
+the sign-aligned eigenvectors.  One byte budget bounds both the number of
+replications reduced at once and the chunk length.
 """
 
 from __future__ import annotations
@@ -48,65 +59,72 @@ class ConcentrationReport:
 
 METRICS = ("sigma_max", "eigen_rel", "score_scaled")
 
-
-# Largest block of score panels simulated together: the AR(1) recursion
-# steps through the time points once for the whole block of replications.
-# A 1 MB block was faster again but raised the peak resident memory of a
-# c07-sized run by ~1.5 MB, against ~0.3 MB for this one.
-_BLOCK_BYTES = 1 << 19
+# Bytes for the covariance accumulators of one batch of replications plus
+# one chunk of their scores; half of it goes to each.
+_BUDGET_BYTES = 1 << 20
 
 
-def _simulate_scores(n: int, p: int, lams: np.ndarray, ar: float,
-                     rngs) -> np.ndarray:
-    """(n, len(rngs), p, q0) block of score panels, one per generator along
-    axis 1, each exactly stationary."""
+def _batch_sizes(reps: int, d: int, budget: int) -> tuple[int, int]:
+    """(replications per batch, time points per chunk) for score dimension d."""
+    batch = min(reps, max(1, budget // (16 * d * d)))
+    return batch, max(1, budget // (16 * batch * d))
+
+
+def _score_chunks(n: int, p: int, lams: np.ndarray, ar: float, rngs, chunk: int):
+    """Yield (len(rngs), T, p, q0) chunks of exactly stationary score panels,
+    one per generator along axis 0, in time order.  The buffer is reused:
+    each chunk is valid until the next one is drawn."""
+    x = np.empty((len(rngs), min(chunk, n), p, lams.size))
+    innov_sd = np.sqrt(lams * (1.0 - ar * ar))
+    for t0 in range(0, n, chunk):
+        cur = x[:, :n - t0]
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=cur[k])
+        cur[:, 0] *= innov_sd if t0 else np.sqrt(lams)
+        cur[:, 1:] *= innov_sd
+        if ar != 0.0:
+            # x[t] = shock + ar * x[t-1], the same two roundings per step as
+            # ar * x[t-1] + shock
+            if t0:
+                cur[:, 0] += ar * last
+            for t in range(1, cur.shape[1]):
+                cur[:, t] += ar * cur[:, t - 1]
+            last = cur[:, -1].copy()
+        yield cur
+
+
+def _errors(chunks, n: int, lams: np.ndarray, alpha: float) -> np.ndarray:
+    """(batch, 3) errors of the lag-0 covariances of a batch of score panels
+    given as (batch, T, p, q0) time chunks: the largest blockwise HS error,
+    relative eigenvalue error and scaled score-covariance error."""
+    flats = (x.reshape(x.shape[0], x.shape[1], -1) for x in chunks)
+    cov = sum(f.transpose(0, 2, 1) @ f for f in flats) / n
+    batch, d, _ = cov.shape
     q0 = lams.size
-    x = np.empty((n, len(rngs), p, q0))
-    for k, rng in enumerate(rngs):
-        if ar == 0.0:
-            np.multiply(rng.standard_normal((n, p, q0)), np.sqrt(lams), out=x[:, k])
-        else:
-            x[0, k] = rng.standard_normal((p, q0)) * np.sqrt(lams)
-            np.multiply(rng.standard_normal((n - 1, p, q0)),
-                        np.sqrt(lams * (1.0 - ar * ar)), out=x[1:, k])
-    # x[t] = shock + ar * x[t-1] in place for the whole block, with the same
-    # two roundings per step as ar * x[t-1] + shock; time-major storage keeps
-    # each step one contiguous array
-    steps = list(x) if ar != 0.0 else []
-    for prev, cur in zip(steps, steps[1:]):
-        cur += ar * prev
-    return x
+    p = d // q0
+    diag = np.arange(p)
+    w, V = np.linalg.eigh(cov.reshape(batch, p, q0, p, q0)[:, diag, :, diag, :])
+    w, V = w[..., ::-1], V[..., ::-1]                    # (p, batch, q0[, q0])
+    err_eig = (np.abs(w - lams) / lams).max(axis=(0, 2))
+    # align each estimated eigenvector with its population counterpart
+    signs = np.sign(np.diagonal(V, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    R = np.zeros_like(cov)
+    R.reshape(batch, p, q0, p, q0)[:, diag, :, diag, :] = V * signs[..., None, :]
+    cov_hat = R.transpose(0, 2, 1) @ cov @ R
 
-
-def _replication_errors(xi: np.ndarray, lams: np.ndarray,
-                        alpha: float) -> tuple[float, float, float]:
-    n, p, q0 = xi.shape
-    flat = xi.reshape(n, p * q0)
-    cov = flat.T @ flat / n
-    blocks = cov.reshape(p, q0, p, q0).transpose(0, 2, 1, 3)
-
-    truth = np.zeros((p, p, q0, q0))
-    truth[np.arange(p), np.arange(p)] = np.diag(lams)
-    err_sigma = float(np.sqrt(((blocks - truth) ** 2).sum(axis=(2, 3))).max())
-
-    err_eig = 0.0
-    scaled = (np.maximum.outer(np.arange(1, q0 + 1), np.arange(1, q0 + 1))
-              ** (alpha + 1.0) * np.sqrt(np.outer(lams, lams)))
-    xihat = np.empty_like(xi)
-    for j in range(p):
-        w, V = np.linalg.eigh(blocks[j, j])
-        order = np.argsort(-w)
-        w, V = w[order], V[:, order]
-        err_eig = max(err_eig, float(np.max(np.abs(w - lams) / lams)))
-        # align each estimated eigenvector with its population counterpart
-        signs = np.sign(np.diag(V))
-        signs[signs == 0] = 1.0
-        xihat[:, j] = xi[:, j] @ (V * signs)
-
-    flat_hat = xihat.reshape(n, p * q0)
-    cov_hat = (flat_hat.T @ flat_hat / n).reshape(p, q0, p, q0).transpose(0, 2, 1, 3)
-    err_score = float((np.abs(cov_hat - truth) / scaled).max())
-    return err_sigma, err_eig, err_score
+    truth = np.diag(np.tile(lams, p))
+    cov -= truth
+    cov **= 2
+    err_sigma = np.sqrt(cov.reshape(batch, p, q0, p, q0).sum(axis=(2, 4)))
+    idx = np.arange(1, q0 + 1)
+    scaled = (np.maximum.outer(idx, idx) ** (alpha + 1.0)
+              * np.sqrt(np.outer(lams, lams)))
+    cov_hat -= truth
+    np.abs(cov_hat, out=cov_hat)
+    cov_hat /= np.tile(scaled, (p, p))
+    return np.column_stack([err_sigma.max(axis=(1, 2)), err_eig,
+                            cov_hat.max(axis=(1, 2))])
 
 
 def run_concentration(p: int = 5, q0: int = 3, ns=(250, 500, 1000, 2000, 4000),
@@ -126,18 +144,18 @@ def run_concentration(p: int = 5, q0: int = 3, ns=(250, 500, 1000, 2000, 4000),
         raise ConfigError(f"ns needs at least two distinct sample sizes to fit a slope; "
                           f"got {list(ns)}")
     lams = np.arange(1, q0 + 1, dtype=float) ** -alpha
+    d = p * q0
+    batch, chunk = _batch_sizes(reps, d, _BUDGET_BYTES)
     medians = {m: [] for m in METRICS}
     for i, n in enumerate(ns):
         n = int(n)
-        block = max(1, _BLOCK_BYTES // (8 * n * p * q0))
         errs = []
-        for first in range(0, reps, block):
+        for first in range(0, reps, batch):
             rngs = [rng_stream(seed, stream=i * reps + r)
-                    for r in range(first, min(first + block, reps))]
-            x = _simulate_scores(n, p, lams, ar, rngs)
-            errs.extend(_replication_errors(x[:, k], lams, alpha)
-                        for k in range(len(rngs)))
-        errs = np.asarray(errs)
+                    for r in range(first, min(first + batch, reps))]
+            errs.append(_errors(_score_chunks(n, p, lams, ar, rngs, chunk), n,
+                                lams, alpha))
+        errs = np.concatenate(errs)
         for col, name in enumerate(METRICS):
             medians[name].append(float(np.median(errs[:, col])))
 

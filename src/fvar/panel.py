@@ -95,9 +95,13 @@ class CurvePanel:
                     raise DataError(
                         f"unparsable value {value!r} for variable {name!r} at "
                         f"t={t}, grid index {s}") from None
-                times.append(t)
+                try:
+                    times.append(t)
+                    points.append(s)
+                except OverflowError:
+                    raise DataError(f"variable {name!r}: t={t} or grid index {s} "
+                                    "is out of range") from None
                 var_of.append(codes.setdefault(name, len(codes)))
-                points.append(s)
                 values.append(value)
         if not values:
             raise DataError(f"{path}: no panel rows")
@@ -114,6 +118,11 @@ class CurvePanel:
         if bad.size:
             raise DataError("missing or non-finite value "
                             f"{float(value_arr[bad[0]])!r} for {key(bad[0])}")
+        # an index of the row count or more leaves some cell without a row
+        over = np.flatnonzero(np.maximum(t_idx, s_idx) >= value_arr.size)
+        if over.size:
+            raise DataError(f"{key(over[0])} is out of range: {value_arr.size} "
+                            "rows cannot fill the panel it implies")
         panel = _scatter((t_idx, j_idx, s_idx), value_arr,
                          lambda row: f"duplicate row for {key(row)}")
         if grid is None:
@@ -154,9 +163,13 @@ def read_price_csv(path):
                 minute, price = int(rec[c_minute]), float(rec[c_price])
             except (IndexError, ValueError):
                 raise DataError(f"{path}, line {line}: unparsable row {rec}") from None
+            try:
+                minutes.append(minute)
+            except OverflowError:
+                raise DataError(f"{path}, line {line}: minute_index {minute} of "
+                                f"ticker {rec[c_tick]} is out of range") from None
             day_of.append(dates.setdefault(rec[c_date], len(dates)))
             ticker_of.append(tickers.setdefault(rec[c_tick], len(tickers)))
-            minutes.append(minute)
             values.append(price)
     if not values:
         raise DataError(f"{path}: no price rows")
@@ -168,6 +181,13 @@ def read_price_csv(path):
     minute_idx = np.frombuffer(minutes, dtype=np.int64)
     if minute_idx.min() < 0:
         raise DataError(f"{path}: negative minute_index")
+    # a minute of the row count or more leaves some cell without a row
+    over = np.flatnonzero(minute_idx >= minute_idx.size)
+    if over.size:
+        raise DataError(f"{path}, line {over[0] + 2}: minute_index "
+                        f"{minute_idx[over[0]]} of ticker "
+                        f"{list(tickers)[ticker_of[over[0]]]} is out of range: "
+                        f"{minute_idx.size} rows cannot fill the panel it implies")
     days = sorted(dates)
     day_rank = np.empty(len(days), dtype=np.int64)
     day_rank[[dates[d] for d in days]] = np.arange(len(days))

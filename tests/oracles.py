@@ -5,9 +5,9 @@ rather than the package internals: de Boor recursion for B-splines, dense-grid
 quadrature for Gram matrices, cyclic blockwise proximal coordinate descent for
 the group lasso, and a trace-based characteristic polynomial for spectral
 radii.  ``fista_loop``, ``fista_row``, ``path_rows``, ``kkt_loop``, the FPCA
-refits, ``stability_loop``, ``simulate_scores_loop`` and
-``relative_error_loop`` are the package's earlier, slower formulations, kept
-as references its faster ones must match.
+refits, ``stability_loop``, ``simulate_scores_loop``,
+``replication_errors_loop`` and ``relative_error_loop`` are the package's
+earlier, slower formulations, kept as references its faster ones must match.
 """
 
 import math
@@ -413,6 +413,40 @@ def simulate_scores_loop(n, p, lams, ar, rng):
     for t in range(1, n):
         x[t] = ar * x[t - 1] + shocks[t - 1]
     return x
+
+
+def replication_errors_loop(xi, lams, alpha):
+    """The concentration metrics of ``fvar.harness`` for one (n, p, q0) score
+    panel: the largest blockwise Hilbert-Schmidt error of the lag-0
+    covariance, the largest relative eigenvalue error, and the largest scaled
+    error of the covariance of the sign-aligned rotated scores, recomputed
+    from a second pass over the data."""
+    n, p, q0 = xi.shape
+    flat = xi.reshape(n, p * q0)
+    cov = flat.T @ flat / n
+    blocks = cov.reshape(p, q0, p, q0).transpose(0, 2, 1, 3)
+
+    truth = np.zeros((p, p, q0, q0))
+    truth[np.arange(p), np.arange(p)] = np.diag(lams)
+    err_sigma = float(np.sqrt(((blocks - truth) ** 2).sum(axis=(2, 3))).max())
+
+    err_eig = 0.0
+    scaled = (np.maximum.outer(np.arange(1, q0 + 1), np.arange(1, q0 + 1))
+              ** (alpha + 1.0) * np.sqrt(np.outer(lams, lams)))
+    xihat = np.empty_like(xi)
+    for j in range(p):
+        w, V = np.linalg.eigh(blocks[j, j])
+        order = np.argsort(-w)
+        w, V = w[order], V[:, order]
+        err_eig = max(err_eig, float(np.max(np.abs(w - lams) / lams)))
+        signs = np.sign(np.diag(V))
+        signs[signs == 0] = 1.0
+        xihat[:, j] = xi[:, j] @ (V * signs)
+
+    flat_hat = xihat.reshape(n, p * q0)
+    cov_hat = (flat_hat.T @ flat_hat / n).reshape(p, q0, p, q0).transpose(0, 2, 1, 3)
+    err_score = float((np.abs(cov_hat - truth) / scaled).max())
+    return err_sigma, err_eig, err_score
 
 
 def relative_error_loop(kernels, truth, grid_size=200):

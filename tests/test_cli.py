@@ -96,6 +96,24 @@ class TestSimulate:
         assert "negative" in err and "'a'" in err and f"t={t}" in err
         assert f"grid index {s}" in err
 
+    @pytest.mark.parametrize("row, index", [
+        ("0,a,99999999999999999999,2.0", "grid index 99999999999999999999"),
+        ("99999999999999999999,a,0,2.0", "t=99999999999999999999"),
+        (f"{2**62},a,0,1.0", f"t={2**62}"),
+        (f"0,a,{2**62},1.0", f"grid index {2**62}")])
+    def test_out_of_range_csv_index_is_data_error(self, tmp_path, capsys, row,
+                                                  index):
+        # indices past int64, or so large that the panel they imply cannot
+        # even be sized; either way more cells than rows
+        path = tmp_path / "far.csv"
+        CurvePanel(values=np.ones((3, 1, 4)), grid=np.linspace(0, 1, 4),
+                   ids=["a"]).to_csv(path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        assert run("fit", "--panel", path, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "out of range" in err and "'a'" in err and index in err
+
     @pytest.mark.parametrize("text, expected", [
         ("t,variable,grid_index\n0,a,0\n",
          ["need columns t, variable, grid_index and value"]),
@@ -492,3 +510,40 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert str(cfg) in err and "must hold a JSON object" in err
         assert not (tmp_path / "stability.csv").exists()
+
+    @pytest.mark.parametrize("command, cfg, expected", [
+        ("simulate", {"n": [1], "p": 2}, "'n' must be an integer"),
+        ("simulate", {"n": True, "p": 2}, "'n' must be an integer"),
+        ("simulate", {"n": 2.5, "p": 2}, "'n' must be an integer"),
+        ("verify-concentration", {"p": None}, "'p' must be an integer"),
+        ("simulate", {"n": 20, "p": 2, "sigma_e": False}, "'sigma_e' must be a number"),
+        ("simulate", {"n": 20, "p": 2, "preset": 3}, "'preset' must be a string"),
+        ("simulate", {"n": 20, "p": 2, "model": "dense"},
+         "'model' must be one of ['sparse', 'banded']"),
+        ("stability", {"a_values": [0.5]}, "'a_values' must be a string"),
+        ("network", {"no_self": 1}, "'no_self' must be true or false"),
+        ("network", {"no_self": "yes"}, "'no_self' must be true or false"),
+        ("verify-concentration", {"ar": "0.5", "reps": {"x": 1}},
+         "'reps' must be an integer"),
+    ])
+    def test_config_value_of_wrong_kind_is_error(self, tmp_path, capsys,
+                                                 command, cfg, expected):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        required = {"network": ["--kernels", tmp_path / "k.json"]}.get(command, [])
+        assert run(command, *required, "--config", path,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and expected in err, err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_of_each_accepted_kind(self, tmp_path):
+        # a string is converted as on the command line, an integer serves a
+        # float flag and null a flag whose default is null
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "25", "p": 2, "sigma_e": 1,
+                                   "model": "banded", "preset": None}))
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", cfg, "--out", out) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["n"], config["sigma_e"], config["preset"]) == (25, 1, None)

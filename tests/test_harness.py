@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,10 @@ import pytest
 
 from fvar import harness
 from fvar.errors import ConfigError
-from fvar.harness import SCENARIOS, run_concentration
+from fvar.harness import METRICS, SCENARIOS, run_concentration
 from fvar.streams import rng_stream
 
-from oracles import simulate_scores_loop
+from oracles import replication_errors_loop, simulate_scores_loop
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -66,30 +67,62 @@ class TestConcentration:
             run_concentration(**args)
 
     @pytest.mark.parametrize("ar", [0.0, 0.5, 0.9])
-    @pytest.mark.parametrize("n, block", [(2, 1), (3, 2), (250, 1), (250, 5)])
-    def test_fixture_matches_loop(self, n, block, ar):
-        lams = np.arange(1, 4, dtype=float) ** -2.0
-        got = harness._simulate_scores(
-            n, 4, lams, ar, [rng_stream(11, stream=r) for r in range(block)])
-        assert got.shape == (n, block, 4, 3)
-        for r in range(block):
-            want = simulate_scores_loop(n, 4, lams, ar, rng_stream(11, stream=r))
-            assert np.array_equal(got[:, r], want)
+    @pytest.mark.parametrize("n, reps, chunk", [
+        (2, 1, 8), (2, 3, 1), (5, 1, 8), (5, 3, 8), (9, 3, 8), (17, 2, 8),
+        (250, 4, 7), (251, 1, 250), (251, 3, None)])
+    def test_fixture_matches_loop(self, n, reps, chunk, ar):
+        p, lams = 4, np.arange(1, 4, dtype=float) ** -2.0
+        if chunk is None:  # the harness's own chunk length, one point past it
+            chunk = harness._batch_sizes(reps, p * lams.size, harness._BUDGET_BYTES)[1]
+            n = chunk + 1
+        rngs = [rng_stream(11, stream=r) for r in range(reps)]
+        got = np.concatenate(
+            [x.copy() for x in harness._score_chunks(n, p, lams, ar, rngs, chunk)],
+            axis=1)
+        assert got.shape == (reps, n, p, 3)
+        for r in range(reps):
+            want = simulate_scores_loop(n, p, lams, ar, rng_stream(11, stream=r))
+            assert np.array_equal(got[r], want)
 
-    def test_medians_match_loop_fixture(self):
-        p, q0, ns, reps, seed, ar, alpha = 3, 2, (60, 400, 4000), 10, 4, 0.5, 2.0
-        # the ten n=4000 replications span more than one block
-        assert harness._BLOCK_BYTES // (8 * 4000 * p * q0) < reps
+    @pytest.mark.parametrize("ar", [0.0, 0.5])
+    def test_medians_match_loop_fixture(self, ar):
+        p, q0, ns, reps, seed, alpha = 3, 2, (60, 400, 4000), 10, 4, 2.0
+        # n=4000 spans many chunks
+        assert harness._batch_sizes(reps, p * q0, harness._BUDGET_BYTES)[1] < 4000
         lams = np.arange(1, q0 + 1, dtype=float) ** -alpha
         want = []
         for i, n in enumerate(ns):
-            errs = [harness._replication_errors(
+            errs = [replication_errors_loop(
                 simulate_scores_loop(n, p, lams, ar, rng_stream(seed, stream=i * reps + r)),
                 lams, alpha) for r in range(reps)]
-            want.append(np.median(errs, axis=0).tolist())
+            want.append(np.median(errs, axis=0))
         got = run_concentration(p=p, q0=q0, ns=ns, reps=reps, seed=seed, ar=ar,
                                 alpha=alpha)
-        assert [list(row[1:]) for row in got.rows()] == want
+        np.testing.assert_allclose([row[1:] for row in got.rows()], want,
+                                   rtol=1e-12, atol=0)
+
+    def test_replication_batches_match_one_batch(self, monkeypatch):
+        args = dict(p=4, q0=3, ns=(50, 300), reps=7, seed=5, ar=0.5)
+        d = 12
+        assert harness._batch_sizes(7, d, harness._BUDGET_BYTES)[0] == 7
+        one = run_concentration(**args)
+        budget = 16 * d * d * 2
+        assert harness._batch_sizes(7, d, budget)[0] == 2
+        monkeypatch.setattr(harness, "_BUDGET_BYTES", budget)
+        split = run_concentration(**args)
+        for name in METRICS:
+            np.testing.assert_allclose(split.medians[name], one.medians[name],
+                                       rtol=1e-12, atol=0)
+
+    def test_c07_run_stays_under_two_megabytes(self):
+        tracemalloc.start()
+        try:
+            run_concentration(p=5, q0=3, ns=(250, 500, 1000, 2000, 4000),
+                              reps=100, seed=0, ar=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MB"
 
 
 def test_theory_tools_leave_scipy_signal_unimported():

@@ -259,6 +259,16 @@ class TestPriceCsv:
                            "2017-01-03, ticker BBB, minute 0"):
             read_price_csv(path)
 
+    @pytest.mark.parametrize("minute", [2**62, 99999999999999999999])
+    def test_out_of_range_minute_is_data_error(self, tmp_path, minute):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,ticker,minute_index,price\n"
+                        "2017-01-03,AAA,0,10\n2017-01-03,BBB,0,20\n"
+                        f"2017-01-03,BBB,{minute},21\n")
+        with pytest.raises(DataError, match=f"line 4: minute_index {minute} of "
+                           "ticker BBB is out of range"):
+            read_price_csv(path)
+
     def test_nan_price_is_missing_not_duplicate(self, tmp_path):
         path = tmp_path / "prices.csv"
         path.write_text("date,ticker,minute_index,price\n"
