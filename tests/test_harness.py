@@ -66,15 +66,11 @@ class TestConcentration:
         with pytest.raises(ConfigError, match=name):
             run_concentration(**args)
 
-    @pytest.mark.parametrize("ar", [0.0, 0.5, 0.9])
-    @pytest.mark.parametrize("n, reps, chunk", [
-        (2, 1, 8), (2, 3, 1), (5, 1, 8), (5, 3, 8), (9, 3, 8), (17, 2, 8),
-        (250, 4, 7), (251, 1, 250), (251, 3, None)])
-    def test_fixture_matches_loop(self, n, reps, chunk, ar):
+    @staticmethod
+    def _assert_chunks_match_loop(n, reps, chunk, ar):
         p, lams = 4, np.arange(1, 4, dtype=float) ** -2.0
-        if chunk is None:  # the harness's own chunk length, one point past it
+        if chunk is None:  # the harness's own chunk length
             chunk = harness._batch_sizes(reps, p * lams.size, harness._BUDGET_BYTES)[1]
-            n = chunk + 1
         rngs = [rng_stream(11, stream=r) for r in range(reps)]
         got = np.concatenate(
             [x.copy() for x in harness._score_chunks(n, p, lams, ar, rngs, chunk)],
@@ -84,22 +80,37 @@ class TestConcentration:
             want = simulate_scores_loop(n, p, lams, ar, rng_stream(11, stream=r))
             assert np.array_equal(got[r], want)
 
-    @pytest.mark.parametrize("ar", [0.0, 0.5])
-    def test_medians_match_loop_fixture(self, ar):
+    @pytest.mark.parametrize("ar", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n, reps", [(2, 1), (3, 2), (250, 1), (250, 5)])
+    def test_fixture_matches_loop(self, n, reps, ar):
+        self._assert_chunks_match_loop(n, reps, None, ar)
+
+    @pytest.mark.parametrize("ar", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n, reps, chunk", [
+        (2, 3, 1), (5, 1, 8), (5, 3, 8), (9, 3, 8), (17, 2, 8),
+        (250, 4, 7), (251, 1, 250), (None, 3, None)])
+    def test_chunk_boundaries_match_loop(self, n, reps, chunk, ar):
+        if n is None:  # one point past the harness's own chunk length
+            n = harness._batch_sizes(reps, 12, harness._BUDGET_BYTES)[1] + 1
+        self._assert_chunks_match_loop(n, reps, chunk, ar)
+
+    def test_medians_match_loop_fixture(self):
         p, q0, ns, reps, seed, alpha = 3, 2, (60, 400, 4000), 10, 4, 2.0
         # n=4000 spans many chunks
         assert harness._batch_sizes(reps, p * q0, harness._BUDGET_BYTES)[1] < 4000
         lams = np.arange(1, q0 + 1, dtype=float) ** -alpha
-        want = []
-        for i, n in enumerate(ns):
-            errs = [replication_errors_loop(
-                simulate_scores_loop(n, p, lams, ar, rng_stream(seed, stream=i * reps + r)),
-                lams, alpha) for r in range(reps)]
-            want.append(np.median(errs, axis=0))
-        got = run_concentration(p=p, q0=q0, ns=ns, reps=reps, seed=seed, ar=ar,
-                                alpha=alpha)
-        np.testing.assert_allclose([row[1:] for row in got.rows()], want,
-                                   rtol=1e-12, atol=0)
+        for ar in (0.0, 0.5):
+            want = []
+            for i, n in enumerate(ns):
+                errs = [replication_errors_loop(
+                    simulate_scores_loop(n, p, lams, ar,
+                                         rng_stream(seed, stream=i * reps + r)),
+                    lams, alpha) for r in range(reps)]
+                want.append(np.median(errs, axis=0))
+            got = run_concentration(p=p, q0=q0, ns=ns, reps=reps, seed=seed, ar=ar,
+                                    alpha=alpha)
+            np.testing.assert_allclose([row[1:] for row in got.rows()], want,
+                                       rtol=1e-12, atol=0, err_msg=f"ar={ar}")
 
     def test_replication_batches_match_one_batch(self, monkeypatch):
         args = dict(p=4, q0=3, ns=(50, 300), reps=7, seed=5, ar=0.5)
