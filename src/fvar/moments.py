@@ -7,12 +7,21 @@ solves the discrete Lyapunov equation S0 = C S0 C^T + noise_cov and f is the
 spectral density matrix.  It equals 1 for temporally independent processes
 and grows with the strength of the dependence.
 
-The measure is evaluated on the non-positive half of the theta grid.  With C
-and noise_cov real, f(-theta) is the complex conjugate of f(theta), and the
-two have the same eigenvalues, so the other half adds nothing.  Each
-frequency costs one linear solve with A(theta) = I - e^{-i theta} C and no
-inverse, and the frequencies are batched so that no (batch, d, d) complex
-array exceeds ``_BATCH_BYTES``.
+The measure is the maximum over the non-positive half of the theta grid.
+With C and noise_cov real, f(-theta) is the complex conjugate of f(theta),
+and the two have the same eigenvalues, so the other half adds nothing.  Each
+frequency evaluated costs one linear solve with A(theta) = I - e^{-i theta} C
+and no inverse, and the frequencies are batched so that no (batch, d, d)
+complex array exceeds ``_BATCH_BYTES``.
+
+Only the grid points that can hold the maximum are evaluated.  A coarse pass
+over every ``_COARSE_STRIDE``-th point gives a level g the grid attains.  One
+QZ eigensolve of a real 2d x 2d pencil (the level-set method for the H-infinity
+norm: Boyd, Balakrishnan & Kabamba 1989; Bruinsma & Steinbuch 1990) then finds
+every frequency where the whitened density reaches g.  Between two such
+crossings the density stays above g or below it throughout, so one point in
+the middle of each arc tells which arcs to evaluate whole; the others are
+below g and cannot hold the maximum.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .basis import BasisSpec
 from .errors import ConfigError, DataError, NonstationaryError, NumericalError
@@ -68,6 +78,7 @@ class StabilityReport:
     argmax_theta: float
     theta_grid_size: int
     lambda0: float
+    theta_evaluations: int  # grid points at which the density was evaluated
 
 
 def autocov_empirical(coeff_panel: np.ndarray, h: int,
@@ -131,7 +142,9 @@ def var1_stationary_cov(C: np.ndarray, noise_cov: np.ndarray,
 
 
 def _check_system(C, noise_cov) -> tuple[np.ndarray, np.ndarray]:
-    """C and noise_cov as float arrays: square, of one shape and finite."""
+    """C and noise_cov as float arrays: square, of one shape and finite, with
+    noise_cov symmetric and positive semidefinite to 1e-12 of its largest
+    entry."""
     C = np.asarray(C, dtype=float)
     N = np.asarray(noise_cov, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.size == 0:
@@ -141,6 +154,13 @@ def _check_system(C, noise_cov) -> tuple[np.ndarray, np.ndarray]:
     for name, mat in (("C", C), ("noise_cov", N)):
         if not np.all(np.isfinite(mat)):
             raise DataError(f"{name} has non-finite entries")
+    scale = 1e-12 * np.max(np.abs(N))
+    if np.max(np.abs(N - N.T)) > scale:
+        raise DataError("noise_cov is not symmetric; a covariance matrix is")
+    low = float(np.linalg.eigvalsh(N)[0])
+    if low < -scale:
+        raise DataError(f"noise_cov has the negative eigenvalue {low:.3e}; "
+                        f"a covariance matrix is positive semidefinite")
     return C, N
 
 
@@ -201,17 +221,76 @@ def sym_inv_sqrt(S: np.ndarray, singular: str) -> np.ndarray:
 # batches raise the peak memory and gain nothing once d is large.
 _BATCH_BYTES = 256 * 1024
 
+# The coarse pass evaluates every _COARSE_STRIDE-th point of the half grid.
+# A pencil eigenvalue w with | |w| - 1 | <= _CIRCLE_TOL counts as a frequency
+# on the unit circle; a loose tolerance only adds crossings, never drops one.
+# An arc is evaluated whole when its middle reaches (1 - _ARC_RTOL) g, which
+# covers a density that is flat to rounding, where crossings are ill-posed.
+_COARSE_STRIDE = 16
+_CIRCLE_TOL = 1e-6
+_ARC_RTOL = 1e-9
+
+
+def _top_eigenvalues(C: np.ndarray, N: np.ndarray, thetas: np.ndarray,
+                     left: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of left 2 pi f(theta) left^T at each of ``thetas``,
+    in batches under ``_BATCH_BYTES``."""
+    d = C.shape[0]
+    batch = max(1, _BATCH_BYTES // (16 * d * d))
+    return np.concatenate([
+        np.linalg.eigvalsh(_density_forms(C, N, thetas[i: i + batch], left))[:, -1]
+        for i in range(0, thetas.size, batch)])
+
+
+def _level_crossings(C: np.ndarray, N: np.ndarray, gram: np.ndarray,
+                     level: float) -> np.ndarray:
+    """Sorted frequencies theta in [-pi, 0] at which some eigenvalue of
+    left 2 pi f(theta) left^T equals ``level`` > 0, where gram = left^T left.
+
+    With N = B B^T, these eigenvalues are the squared singular values of
+    left (wI - C)^{-1} B at w = e^{i theta}, and ``level`` is one of them
+    exactly when w is an eigenvalue of the real pencil
+    [[C, s N/level], [0, I]] - w [[I, 0], [gram/s, C^T]] for any s > 0,
+    found by one QZ.  The eigenvalues come in conjugate pairs, as f(-theta)
+    mirrors f(theta), and each maps to -|angle w|.  Eigenvalues at infinity
+    (C singular) have a zero beta and drop out; a singular pencil (a
+    constant density equal to ``level``) adds arbitrary ones, which only
+    cost evaluations.
+
+    Two scalings that leave the density unchanged keep the crossings on the
+    circle: a diagonal change of coordinates that balances C (with N and
+    gram transformed to match), and s, which balances the two coupling
+    blocks.  Without them, a badly scaled C or a stationary covariance far
+    from unit scale lets QZ put a crossing off the circle by more than
+    ``_CIRCLE_TOL``.
+    """
+    d = C.shape[0]
+    _, (t, _) = scipy.linalg.matrix_balance(C, permute=False, separate=True)
+    C, N, gram = C * (t / t[:, None]), N / np.outer(t, t), gram * np.outer(t, t)
+    s = np.sqrt(level * np.max(np.abs(gram)) / np.max(np.abs(N)))
+    # Fortran order, so that LAPACK works in place without a copy
+    a = np.zeros((2 * d, 2 * d), order="F")
+    b = np.zeros((2 * d, 2 * d), order="F")
+    a[:d, :d], a[:d, d:], a[d:, d:] = C, (s / level) * N, np.eye(d)
+    b[:d, :d], b[d:, :d], b[d:, d:] = np.eye(d), gram / s, C.T
+    alpha, beta = scipy.linalg.eig(a, b, left=False, right=False,
+                                   overwrite_a=True, overwrite_b=True,
+                                   homogeneous_eigvals=True, check_finite=False)
+    scale = np.abs(beta)
+    on_circle = (scale > 0) & (np.abs(np.abs(alpha) - scale) <= _CIRCLE_TOL * scale)
+    return np.sort(-np.abs(np.angle(alpha[on_circle] * np.conj(beta[on_circle]))))
+
 
 def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
                            theta_grid_size: int = 1024,
                            subset=None) -> StabilityReport:
     """Grid maximum of the normalized spectral Rayleigh quotient.
 
-    The grid is ``np.linspace(-pi, pi, theta_grid_size)``, of which only the
-    first ceil(theta_grid_size / 2) points are evaluated: f(-theta) is the
+    The grid is ``np.linspace(-pi, pi, theta_grid_size)``, and the maximum is
+    taken over its first ceil(theta_grid_size / 2) points: f(-theta) is the
     conjugate of f(theta) and has the same eigenvalues.  An odd size keeps
     theta = 0.  ``argmax_theta`` is the non-positive member of the mirrored
-    pair {theta, -theta} that attains the maximum.
+    pair {theta, -theta} at the first grid point that attains the maximum.
 
     At each theta the whitened density is M = B N B^H with
     B = S0_idx^{-1/2} E_idx A(theta)^{-1}, where E_idx selects the
@@ -220,9 +299,22 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
     alike.  B comes from one solve with A(theta)^T, and the frequencies are
     batched under ``_BATCH_BYTES``.  Stationarity is checked once, by the
     stationary covariance.
+
+    Not every grid point is evaluated; ``theta_evaluations`` counts those
+    that are.  The coarse pass takes every ``_COARSE_STRIDE``-th point and
+    both ends; their maximum g is a value of the grid.  ``_level_crossings``
+    finds every theta where some eigenvalue of M equals g, and these cut the
+    half grid into arcs on which the top eigenvalue stays above g or below
+    it.  The points on either side of each crossing and the middle point of
+    each arc are evaluated, and so is every point of an arc whose middle
+    reaches (1 - ``_ARC_RTOL``) g.  Every skipped point lies below g, and every
+    evaluated one goes through the same arithmetic as a full-grid pass, so
+    the value and ``argmax_theta`` equal those of evaluating the whole grid.
     """
-    if theta_grid_size < 64:
-        raise ConfigError("theta grid size must be at least 64")
+    if (not isinstance(theta_grid_size, (int, np.integer))
+            or isinstance(theta_grid_size, bool) or theta_grid_size < 64):
+        raise ConfigError(f"theta grid size must be an integer of at least 64; "
+                          f"got {theta_grid_size!r}")
     C, N = _check_system(C, noise_cov)
     d = C.shape[0]
     idx = _check_subset(subset, d)
@@ -232,15 +324,37 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
                                 "covariance matrix is numerically singular")
 
     thetas = np.linspace(-np.pi, np.pi, theta_grid_size)[: (theta_grid_size + 1) // 2]
-    batch = max(1, _BATCH_BYTES // (16 * d * d))
-    tops = np.concatenate([
-        np.linalg.eigvalsh(_density_forms(C, N, thetas[i: i + batch], left))[:, -1]
-        for i in range(0, thetas.size, batch)])
+    size = thetas.size
+    tops = np.full(size, -np.inf)
+    done = np.zeros(size, dtype=bool)
+
+    def evaluate(points):
+        points = np.unique(points)
+        points = points[~done[points]]
+        if points.size:
+            tops[points] = _top_eigenvalues(C, N, thetas[points], left)
+            done[points] = True
+
+    evaluate(np.r_[np.arange(0, size, _COARSE_STRIDE), size - 1])
+    g = tops.max()
+    # M averages to the identity over theta, so g > 0 unless M vanishes at
+    # every coarse point; then there are no cuts and the one arc is the grid
+    crossings = (_level_crossings(C, N, left.T @ left, g) if g > 0
+                 else np.empty(0))
+    cuts = np.searchsorted(thetas, crossings)
+    bounds = np.unique(np.r_[0, cuts, size])
+    starts, ends = bounds[:-1], bounds[1:]
+    mids = (starts + ends - 1) // 2
+    evaluate(np.r_[np.clip(np.r_[cuts - 1, cuts], 0, size - 1), mids])
+    high = tops[mids] >= g * (1.0 - _ARC_RTOL)
+    evaluate(np.flatnonzero(np.repeat(high, ends - starts)))
+
     best = int(np.argmax(tops))
     lambda0 = float(np.max(np.diag(S0)[idx]))
     return StabilityReport(value=float(tops[best]),
                            argmax_theta=-abs(float(thetas[best])),
-                           theta_grid_size=theta_grid_size, lambda0=lambda0)
+                           theta_grid_size=theta_grid_size, lambda0=lambda0,
+                           theta_evaluations=int(done.sum()))
 
 
 def operator_norm_var1_kernel(C: np.ndarray) -> float:

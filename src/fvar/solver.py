@@ -151,8 +151,14 @@ def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
     if n <= L:
         raise ConfigError(f"need more than L={L} observations, got {n}")
 
-    scores = [m.scores for m in kl_models]
     n_eff = n - L
+    for k, m in enumerate(kl_models):
+        if n_eff < m.q:
+            raise ConfigError(
+                f"variable {k} has q={m.q} scores but n={n} observations leave "
+                f"n-L={n_eff} rows at lag order L={L}; its score Gram needs "
+                f"n >= L + q = {L + m.q}")
+    scores = [m.scores for m in kl_models]
     roots_inv, cols = [], []
     for h in range(1, L + 1):
         for k, s in enumerate(scores):

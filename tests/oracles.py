@@ -5,7 +5,7 @@ rather than the package internals: de Boor recursion for B-splines, dense-grid
 quadrature for Gram matrices, cyclic blockwise proximal coordinate descent for
 the group lasso, and a trace-based characteristic polynomial for spectral
 radii.  ``fista_loop``, ``fista_row``, ``path_rows``, ``kkt_loop``, the FPCA
-refits, ``stability_loop``, ``simulate_scores_loop``,
+refits, ``stability_loop``, ``stability_grid_tops``, ``simulate_scores_loop``,
 ``replication_errors_loop`` and ``relative_error_loop`` are the package's
 earlier, slower formulations, kept as references its faster ones must match.
 """
@@ -398,6 +398,31 @@ def stability_loop(C, N, theta_grid_size, subset=None):
         if lam > best:
             best, best_theta = lam, float(theta)
     return best, best_theta
+
+
+def stability_grid_tops(C, N, theta_grid_size, subset=None):
+    """The stability measure's batched evaluation of every point of the
+    non-positive half grid, as ``fvar.moments`` made it before it skipped
+    points: the same stationary covariance, whitening and per-theta
+    arithmetic, so each top eigenvalue is bit-identical to the package's.
+    Returns (value, argmax_theta, tops), the argmax being the first grid
+    point that attains the maximum."""
+    from fvar.moments import (_BATCH_BYTES, _density_forms, sym_inv_sqrt,
+                              var1_stationary_cov)
+    C = np.asarray(C, dtype=float)
+    N = np.asarray(N, dtype=float)
+    d = C.shape[0]
+    idx = np.arange(d) if subset is None else np.asarray(list(subset), dtype=int)
+    S0 = var1_stationary_cov(C, N)
+    left = np.zeros((idx.size, d))
+    left[:, idx] = sym_inv_sqrt(S0[np.ix_(idx, idx)], "singular")
+    thetas = np.linspace(-np.pi, np.pi, theta_grid_size)[: (theta_grid_size + 1) // 2]
+    batch = max(1, _BATCH_BYTES // (16 * d * d))
+    tops = np.concatenate([
+        np.linalg.eigvalsh(_density_forms(C, N, thetas[i: i + batch], left))[:, -1]
+        for i in range(0, thetas.size, batch)])
+    best = int(np.argmax(tops))
+    return float(tops[best]), -abs(float(thetas[best])), tops
 
 
 def simulate_scores_loop(n, p, lams, ar, rng):

@@ -7,9 +7,12 @@ import pytest
 
 from fvar.basis import BasisSpec
 from fvar.cli import main
-from fvar.panel import CurvePanel
+from fvar.moments import operator_norm_var1_kernel
+from fvar.panel import CurvePanel, write_csv
 from fvar.pipeline import fpca_panel
 from fvar.solver import KernelEstimate, build_design, fit_row, kkt_residuals
+
+from oracles import stability_grid_tops
 
 
 def run(*argv):
@@ -253,6 +256,18 @@ class TestFit:
             assert fit.iterations == f["iterations"]
             assert max(kkt_residuals(design, fit)) <= 1e-6 * (1 + 1.0)
 
+    def test_too_few_time_points_for_lag_order_is_config_error(self, tmp_path,
+                                                                capsys):
+        sim = tmp_path / "sim"
+        assert run("simulate", "--n", 5, "--p", 2, "--out", sim) == 0
+        assert run("fit", "--panel", sim / "panel.npz", "--q", 4, "--eta", 0,
+                   "--folds", 2, "--L", 2, "--gamma", 1,
+                   "--out", tmp_path / "fit") == 2
+        err = capsys.readouterr().err
+        assert "has q=4 scores but n=5 observations" in err
+        assert "lag order L=2" in err and "n >= L + q = 6" in err
+        assert not (tmp_path / "fit" / "kernels.json").exists()
+
     @pytest.mark.parametrize("command", ["fit", "path"])
     def test_constant_variable_is_data_error(self, tmp_path, capsys, command):
         rng = np.random.default_rng(0)
@@ -394,6 +409,20 @@ class TestStability:
         assert len(lines) == 5
         first = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(first["stability_measure"]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_default_sweep_matches_full_grid_oracle(self, tmp_path):
+        out = tmp_path / "stab"
+        assert run("stability", "--out", out) == 0
+        rows = []
+        for a in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for b in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
+                C = np.array([[a, b], [0.0, a]])
+                rows.append((a, b, operator_norm_var1_kernel(C),
+                             stability_grid_tops(C, np.eye(2), 1024)[0]))
+        write_csv(tmp_path / "oracle.csv",
+                  ["a", "b", "operator_norm", "stability_measure"], rows)
+        assert (out / "stability.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes()
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--a-values", "nan", "a_values"), ("--b-values", "0,inf", "b_values"),

@@ -11,7 +11,7 @@ from fvar.moments import (autocov_empirical, operator_norm_var1_kernel,
                           stability_sweep, var1_spectral_density,
                           var1_stationary_cov)
 
-from oracles import lyapunov_series, stability_loop
+from oracles import lyapunov_series, stability_grid_tops, stability_loop
 
 BASIS = BasisSpec("fourier", 4)
 
@@ -24,6 +24,15 @@ def random_system(d, radius=0.8, seed=0):
     C *= radius / np.max(np.abs(np.linalg.eigvals(C)))
     M = rng.standard_normal((d, d))
     return C, M @ M.T / d + 0.5 * np.eye(d)
+
+
+def var1_style_system(d, seed=1, a_max=0.9):
+    """C = T diag(a) T^{-1} with noise T T^T: independent AR(1) series with
+    coefficients in (-a_max, a_max), mixed by a dense non-orthogonal T."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-a_max, a_max, size=d)
+    T = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
+    return T @ np.diag(a) @ np.linalg.inv(T), T @ T.T
 
 
 def appendix_S0(a, b):
@@ -242,12 +251,111 @@ class TestStabilityMeasure:
         (np.zeros((2, 3)), np.eye(2)),
         (np.zeros((2, 2)), np.eye(3)),
         (np.zeros(2), np.eye(2)),
+        (0.5 * np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])),
+        (0.5 * np.eye(2), np.diag([1.0, -0.1])),
     ])
     def test_malformed_system_rejected(self, C, N):
         with pytest.raises(DataError):
             stability_measure_var1(C, N, 64)
         with pytest.raises(DataError):
             var1_spectral_density(C, N, 0.5)
+
+    @pytest.mark.parametrize("N, match", [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "noise_cov is not symmetric"),
+        (np.diag([1.0, -0.1]), "noise_cov has the negative eigenvalue -1.000e-01")])
+    def test_noise_cov_that_is_no_covariance_is_named(self, N, match):
+        with pytest.raises(DataError, match=match):
+            stability_measure_var1(0.5 * np.eye(2), N, 64)
+
+    def test_noise_cov_rounding_is_tolerated(self):
+        N = np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]])
+        rep = stability_measure_var1(0.5 * np.eye(2), N, 64)
+        assert rep.value == stability_grid_tops(0.5 * np.eye(2), N, 64)[0]
+
+    @pytest.mark.parametrize("G", [100.5, 128.0, True, "128", None])
+    def test_non_integer_grid_size_rejected(self, G):
+        with pytest.raises(ConfigError, match="theta grid size must be an integer"):
+            stability_measure_var1(0.5 * np.eye(2), np.eye(2), G)
+
+    def test_numpy_integer_grid_size_accepted(self):
+        rep = stability_measure_var1(0.5 * np.eye(2), np.eye(2), np.int64(65))
+        assert rep.value == stability_measure_var1(0.5 * np.eye(2), np.eye(2), 65).value
+
+
+ORACLE_GRIDS = [64, 65, 1024, 1025]
+
+
+class TestStabilitySkipsGridPoints:
+    """The measure evaluates only the grid points that can hold the maximum;
+    value and argmax_theta must equal the full-grid evaluation exactly."""
+
+    @pytest.mark.parametrize("G", ORACLE_GRIDS)
+    @pytest.mark.parametrize("d, subset", [
+        (1, None), (2, None), (2, [1]), (5, None), (5, [4, 1]), (12, None),
+        (12, [7, 0, 3, 11]), (30, None), (30, [2, 29, 11])])
+    def test_random_systems_match_full_grid_oracle(self, d, subset, G):
+        for seed in range(4):
+            for C, N in (random_system(d, radius=0.3 + 0.2 * seed, seed=seed),
+                         var1_style_system(d, seed=seed)):
+                rep = stability_measure_var1(C, N, G, subset=subset)
+                value, theta, _ = stability_grid_tops(C, N, G, subset)
+                assert (rep.value, rep.argmax_theta) == (value, theta)
+                assert rep.theta_evaluations <= (G + 1) // 2
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_cli_family_matches_full_grid_oracle(self, sigma):
+        for a in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for b in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
+                C, N = np.array([[a, b], [0.0, a]]), sigma ** 2 * np.eye(2)
+                for G in ORACLE_GRIDS:
+                    rep = stability_measure_var1(C, N, G)
+                    value, theta, _ = stability_grid_tops(C, N, G)
+                    assert (rep.value, rep.argmax_theta) == (value, theta)
+
+    @pytest.mark.parametrize("G", ORACLE_GRIDS)
+    @pytest.mark.parametrize("C", [
+        np.zeros((2, 2)),                       # constant density: a singular pencil
+        np.diag([0.6, -0.6]),                   # equal peaks at theta = 0 and -pi
+        np.array([[0.0, 5.0], [0.0, 0.0]]),     # nilpotent
+        1e-12 * np.ones((3, 3)),                # flat to rounding
+    ], ids=["zero", "tie", "nilpotent", "tiny"])
+    def test_edge_systems_match_full_grid_oracle(self, C, G):
+        N = np.eye(C.shape[0])
+        rep = stability_measure_var1(C, N, G)
+        value, theta, _ = stability_grid_tops(C, N, G)
+        assert (rep.value, rep.argmax_theta) == (value, theta)
+
+    @pytest.mark.parametrize("C, N, G, subset", [
+        # eigenvalues at radius 0.9999935: the stationary covariance is ~1e7,
+        # so the pencil's coupling blocks are ~1e5 and ~1e-7 apart
+        (np.array([[2.982940114967829, -2.4219039551541908],
+                   [5.724138122969613, -4.312297723905564]]),
+         np.array([[5.1412223792076155, -0.2755930437620018],
+                   [-0.2755930437620018, 1.0538570094067963]]), 64, [0]),
+        # a rotation at radius 0.99724 in coordinates scaled by 0.08 to 44
+        (np.array([[4.2353936693986585, 1.4659291095007711e+04, -1.3082754472576278e+01],
+                   [1.5792949318516374e-02, 4.2883285876049165e+01, -3.7720397627337497e-02],
+                   [1.9343501892314993e+01, 5.3525966234418389e+04, -4.7160206020833186e+01]]),
+         np.array([[1.2992548053913062e+09, 1.3184899685121788e+07, -1.2141524461563554e+09],
+                   [1.3184899685121788e+07, 4.2241991279296996e+05, -8.4217444723654613e+07],
+                   [-1.2141524461563554e+09, -8.4217444723654613e+07, 1.2544122960485796e+11]]),
+         4097, None),
+    ], ids=["coupling-scale", "coordinate-scale"])
+    def test_badly_scaled_systems_match_full_grid_oracle(self, C, N, G, subset):
+        # unscaled, QZ puts these crossings 5e-6 off the unit circle
+        rep = stability_measure_var1(C, N, G, subset=subset)
+        value, theta, _ = stability_grid_tops(C, N, G, subset)
+        assert (rep.value, rep.argmax_theta) == (value, theta)
+
+    def test_constant_density_evaluates_every_point(self):
+        rep = stability_measure_var1(np.zeros((2, 2)), np.eye(2), 1025)
+        assert rep.theta_evaluations == 513
+
+    def test_var1_system_evaluates_a_quarter_of_the_half_grid(self):
+        C, N = var1_style_system(30)
+        rep = stability_measure_var1(C, N, 1024)
+        assert rep.theta_evaluations <= 512 // 4
+        assert (rep.value, rep.argmax_theta) == stability_grid_tops(C, N, 1024)[:2]
 
     @pytest.mark.parametrize("subset", [[], [2], [-1], [0, 0]])
     def test_malformed_subset_rejected(self, subset):

@@ -117,6 +117,15 @@ class TestBuildDesign:
         with pytest.raises(ConfigError):
             build_design([kl_from_scores(s)], L=2)
 
+    def test_fewer_lagged_rows_than_scores_rejected(self):
+        rng = np.random.default_rng(3)
+        kl = [kl_from_scores(rng.standard_normal((6, 2))),
+              kl_from_scores(rng.standard_normal((6, 5)))]
+        with pytest.raises(ConfigError, match=r"variable 1 has q=5 scores but "
+                           r"n=6 .* n-L=4 .* L=2; .* n >= L \+ q = 7"):
+            build_design(kl, L=2)
+        build_design(kl[:1], L=2)
+
 
 class TestGroupSoftThreshold:
     def test_annihilation(self):
