@@ -26,7 +26,7 @@ from .pipeline import fit_vfar, fpca_panel, sweep_path, truncate_models
 from .solver import (DesignSet, FitResult, KernelEstimate, accel_backend,
                      block_fista_gram, build_design, fit_row,
                      group_soft_threshold, information_criterion,
-                     recover_kernels, regularization_path, select_gamma)
+                     recover_kernels, regularization_path)
 from .streams import rng_stream
 from .vfar import (VFARModel, companion_form, gen_block_banded,
                    gen_block_sparse, simulate, simulate_coefficients,

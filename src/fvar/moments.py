@@ -32,7 +32,8 @@ import numpy as np
 import scipy.linalg
 
 from .basis import BasisSpec
-from .errors import ConfigError, DataError, NonstationaryError, NumericalError
+from .errors import (ConfigError, DataError, NonstationaryError, NumericalError,
+                     check_indices)
 
 
 @dataclass
@@ -168,14 +169,7 @@ def _check_subset(subset, d: int) -> np.ndarray:
     """The coordinates of ``subset`` (all d when None) as an index array."""
     if subset is None:
         return np.arange(d)
-    idx = np.asarray(list(subset), dtype=int)
-    if idx.size == 0:
-        raise ConfigError("subset is empty")
-    if idx.min() < 0 or idx.max() >= d:
-        raise ConfigError(f"subset {idx.tolist()} is out of range for d={d}")
-    if np.unique(idx).size != idx.size:
-        raise ConfigError(f"subset {idx.tolist()} repeats a coordinate")
-    return idx
+    return np.array(check_indices(subset, d, "subset coordinate", "d"))
 
 
 def _density_forms(C: np.ndarray, N: np.ndarray, thetas: np.ndarray,

@@ -31,8 +31,11 @@ gamma, so their coefficients are stacked side by side as the columns of one
 - a row that has converged is frozen and its columns are compacted out of
   the working arrays.
 
-``regularization_path`` walks the rows' warm-started gamma grids together,
-one batched solve per grid index; a single row is the batch of one.
+``regularization_path`` is the one fit driver: it walks the rows'
+warm-started gamma grids together, one batched solve and one set of
+whole-array summary products per grid index.  ``fit_row`` is its one-row,
+one-point call.  Fixed-gamma ``pipeline.fit_rows`` still calls ``fit_row``
+once per row, because the benchmark counts fits by wrapping ``fit_row``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, DataError, NumericalError, parse_json
+from .errors import (ConfigError, DataError, NumericalError, check_indices,
+                     parse_json)
 from .fpca import KLModel
 from .moments import sym_inv_sqrt
 
@@ -192,12 +196,18 @@ def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:
     return out
 
 
-def block_sq_norms(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def block_sq_norms(a: np.ndarray, starts: np.ndarray,
+                   col_starts: np.ndarray | None = None) -> np.ndarray:
     """Squared Frobenius norm of each row block of the 2-d array ``a``;
     block k starts at row ``starts[k]`` and ends where the next one starts.
-    Every block must be nonempty: ``reduceat`` reads an empty one as the
-    single row at its start."""
-    return np.add.reduceat(np.einsum("ij,ij->i", a, a), starts)
+    Given ``col_starts``, the columns of ``a``'s last two axes split into
+    blocks the same way, and entry [..., k, c] is the squared norm of row
+    block k within column block c.  Every block must be nonempty:
+    ``reduceat`` reads an empty one as the single row at its start."""
+    if col_starts is None:
+        return np.add.reduceat(np.einsum("ij,ij->i", a, a), starts)
+    return np.add.reduceat(np.add.reduceat(a * a, col_starts, axis=-1),
+                           starts, axis=-2)
 
 
 def accel_backend() -> str:
@@ -467,43 +477,43 @@ def check_criterion(criterion: str) -> None:
         raise ConfigError("criterion must be 'aic' or 'bic'")
 
 
-def _fit_result(design: DesignSet, j: int, gamma: float, X: np.ndarray,
-                trace: np.ndarray, iterations: int,
-                converged: bool) -> FitResult:
-    """Row j's solution X with its selection summaries (df, AIC, BIC)."""
-    Y = design.responses[j]
-    resid = Y - design.design @ X
-    vpsi_sq = design.n_eff * block_sq_norms(X, design.offsets[:-1])
-    fit = FitResult(j=j, gamma=gamma, psi_stacked=design.unstandardize @ X,
-                    offsets=design.offsets, p=design.p, coeffs_std=X,
-                    objective_trace=trace, iterations=iterations,
-                    converged=converged, rss=float(np.sum(resid * resid)),
-                    vpsi_sq=vpsi_sq,
-                    df=df_from_contributions(
-                        vpsi_sq, design.block_sizes() * Y.shape[1], gamma),
-                    aic=0.0, bic=0.0)
-    fit.aic = information_criterion(design, fit, 2.0)
-    fit.bic = information_criterion(design, fit, np.log(design.n))
-    return fit
+def _index_fits(design: DesignSet, rows: list, gammas: np.ndarray,
+                Y: np.ndarray, col_offsets: np.ndarray,
+                info: SolveInfo):
+    """One grid index's fits from the batched solution ``info.x``, whose
+    columns stack the rows as ``Y`` does.  The blocks and residuals of all
+    rows are one product each; the ||V Psi||_F^2 column sums stay a per-row
+    ``einsum``, as in a lone row's fit, so fixed-gamma fits stay
+    bit-identical.  The criteria multiply log(RSS) by (n - L) * q_j, with
+    kappa = 2 for AIC and log(n) for BIC."""
+    psi = design.unstandardize @ info.x
+    resid = Y - design.design @ info.x
+    sq = resid * resid
+    for b, (j, lo, hi) in enumerate(zip(rows, col_offsets, col_offsets[1:])):
+        X = info.x[:, lo:hi]
+        vpsi_sq = design.n_eff * block_sq_norms(X, design.offsets[:-1])
+        fit = FitResult(j=j, gamma=float(gammas[b]), psi_stacked=psi[:, lo:hi],
+                        offsets=design.offsets, p=design.p, coeffs_std=X,
+                        objective_trace=info.traces[b],
+                        iterations=int(info.row_iterations[b]),
+                        converged=bool(info.row_converged[b]),
+                        rss=float(np.sum(sq[:, lo:hi])), vpsi_sq=vpsi_sq,
+                        df=df_from_contributions(
+                            vpsi_sq, design.block_sizes() * (hi - lo),
+                            gammas[b]),
+                        aic=0.0, bic=0.0)
+        fit.aic = information_criterion(design, fit, 2.0)
+        fit.bic = information_criterion(design, fit, np.log(design.n))
+        yield fit
 
 
 def fit_row(j: int, design: DesignSet, gamma: float, tol: float = 1e-8,
-            max_iter: int = 10000, x0: np.ndarray | None = None) -> FitResult:
-    """Solve row j at the given (standardized-units) gamma and attach the
-    selection summaries (df, AIC, BIC).
-
-    The df shrinkage ratio uses the same gamma the solver minimized with;
-    the information criteria multiply log(RSS) by the scalar observation
-    count (n - L) * q_j of the row regression, with kappa = 2 for AIC and
-    log(n) for BIC.
+            max_iter: int = 10000) -> FitResult:
+    """Row j at the given (standardized-units) gamma, with its selection
+    summaries (df, AIC, BIC): the one-point path of ``regularization_path``.
     """
-    check_solve_options(tol, max_iter)
-    Y = design.responses[j]
-    info = block_fista_gram(design.gram, design.design.T @ Y,
-                            float(np.sum(Y * Y)), design.offsets, gamma,
-                            design.step_size(), tol, max_iter, x0, row_ids=[j])
-    return _fit_result(design, j, gamma, info.x, info.objective_trace,
-                       info.iterations, info.converged)
+    return regularization_path(design, j, gamma_grid=[gamma], tol=tol,
+                               max_iter=max_iter)[0]
 
 
 def gamma_max(design: DesignSet, j: int) -> float:
@@ -529,19 +539,19 @@ def default_gamma_grid(design: DesignSet, j: int, n_gammas: int = 50,
 
 def regularization_path(design: DesignSet, j, gamma_grid=None,
                         n_gammas: int = 50, min_ratio: float = 1e-3,
-                        warm_start: bool = True, tol: float = 1e-8,
-                        max_iter: int = 10000) -> list:
-    """Fits along a descending gamma grid, warm-starting by default.
+                        tol: float = 1e-8, max_iter: int = 10000) -> list:
+    """Warm-started fits along a descending gamma grid.
 
     ``j`` is one row, for which the fits along its grid are returned, or a
-    sequence of rows, for which one such list per row is returned.  All
-    rows step down their grids together: at each grid index one batched
-    ``block_fista_gram`` solves every row, each warm-started from its own
-    previous point.  ``gamma_grid`` is one grid for all rows; by default
-    each row uses its own ``default_gamma_grid``.
+    sequence of distinct rows, for which one such list per row is returned;
+    a row outside [0, p) is a ConfigError.  All rows step down their grids
+    together: at each grid index one batched ``block_fista_gram`` solves
+    every row, each warm-started from its own previous point.
+    ``gamma_grid`` is one grid for all rows; by default each row uses its
+    own ``default_gamma_grid``.
     """
     one = np.ndim(j) == 0
-    rows = [int(j)] if one else [int(b) for b in j]
+    rows = check_indices([j] if one else j, design.p, "row", "p")
     check_solve_options(tol, max_iter)
     if gamma_grid is None:
         grids = np.array([default_gamma_grid(design, b, n_gammas, min_ratio)
@@ -558,7 +568,8 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
 
     responses = [design.responses[b] for b in rows]
     col_offsets = np.cumsum([0] + [Y.shape[1] for Y in responses])
-    hmat = design.design.T @ np.concatenate(responses, axis=1)
+    Y = np.concatenate(responses, axis=1)
+    hmat = design.design.T @ Y
     ynorm_sq = np.array([float(np.sum(Y * Y)) for Y in responses])
     paths = [[] for _ in rows]
     x0 = None
@@ -566,14 +577,10 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
         info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
                                 gammas, design.step_size(), tol, max_iter, x0,
                                 col_offsets=col_offsets, row_ids=rows)
-        for b, (row, lo, hi) in enumerate(zip(rows, col_offsets,
-                                              col_offsets[1:])):
-            paths[b].append(_fit_result(
-                design, row, float(gammas[b]), info.x[:, lo:hi].copy(),
-                info.traces[b], int(info.row_iterations[b]),
-                bool(info.row_converged[b])))
-        if warm_start:
-            x0 = info.x
+        for path, fit in zip(paths, _index_fits(design, rows, gammas, Y,
+                                                col_offsets, info)):
+            path.append(fit)
+        x0 = info.x
     return paths[0] if one else paths
 
 
@@ -581,17 +588,6 @@ def best_fit(path: list, criterion: str = "bic") -> FitResult:
     """The first fit of a path that minimizes ``criterion``, "aic" or
     "bic"."""
     return path[int(np.argmin([getattr(f, criterion) for f in path]))]
-
-
-def select_gamma(design: DesignSet, j: int, criterion: str = "bic",
-                 gamma_grid=None, n_gammas: int = 50, min_ratio: float = 1e-3,
-                 tol: float = 1e-8, max_iter: int = 10000):
-    """Minimize AIC or BIC along the path; returns (best fit, path)."""
-    check_criterion(criterion)
-    path = regularization_path(design, j, gamma_grid=gamma_grid,
-                               n_gammas=n_gammas, min_ratio=min_ratio,
-                               tol=tol, max_iter=max_iter)
-    return best_fit(path, criterion), path
 
 
 def kkt_residuals(design: DesignSet, fit: FitResult) -> tuple[float, float]:
@@ -637,9 +633,10 @@ class KernelEstimate:
             raise ConfigError(f"psi arrays of shape {self.lags.shape[1:]} do "
                               "not match the components of the KL models")
         self.lags.flags.writeable = False
-        blocks = [slice(a, b) for a, b in zip(self.offsets, self.offsets[1:])]
-        self.hs = np.array([[[np.linalg.norm(lag[k, j]) for k in blocks]
-                             for j in blocks] for lag in self.lags])
+        starts = self.offsets[:-1]
+        # block_sq_norms indexes [h, k, j]: the row block is the source k
+        self.hs = np.sqrt(block_sq_norms(self.lags, starts, starts)
+                          ).transpose(0, 2, 1)
 
     @property
     def L(self) -> int:
@@ -700,9 +697,12 @@ def _kernel_estimate(L: int, kl_models: list, psi: list) -> KernelEstimate:
 
 def recover_kernels(fits: list[FitResult], kl_models: list[KLModel]) -> KernelEstimate:
     """Assemble the functional estimates from the p row fits: row j's
-    ``psi_stacked`` is column slice j of the stacked lag arrays."""
-    if len(fits) != len(kl_models):
-        raise ConfigError("need one fit per variable")
+    ``psi_stacked`` is column slice j of the stacked lag arrays.  The fits
+    must cover each row 0..p-1 once."""
+    rows = sorted(f.j for f in fits)
+    if rows != list(range(len(kl_models))):
+        raise ConfigError(f"need one fit for each of the {len(kl_models)} "
+                          f"rows 0..{len(kl_models) - 1}; got rows {rows}")
     stacked = np.hstack([f.psi_stacked
                          for f in sorted(fits, key=lambda f: f.j)])
     q = stacked.shape[1]

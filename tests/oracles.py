@@ -4,8 +4,8 @@ Everything here is deliberately written against the mathematical definitions
 rather than the package internals: de Boor recursion for B-splines, dense-grid
 quadrature for Gram matrices, cyclic blockwise proximal coordinate descent for
 the group lasso, and a trace-based characteristic polynomial for spectral
-radii.  ``fista_loop``, ``fista_row``, ``path_rows``, ``kkt_loop``, the FPCA
-refits, ``stability_loop``, ``stability_grid_tops``, ``simulate_scores_loop``,
+radii.  ``fista_loop``, ``fista_row``, ``path_rows``, ``fit_result_loop``,
+``kkt_loop``, ``hs_norms_loop``, the FPCA refits, ``stability_loop``, ``stability_grid_tops``, ``simulate_scores_loop``,
 ``replication_errors_loop`` and ``relative_error_loop`` are the package's
 earlier, slower formulations, kept as references its faster ones must match.
 """
@@ -290,6 +290,30 @@ def path_rows(design, grids, tol=1e-8, max_iter=10000, warm_starts=None):
     return paths
 
 
+def fit_result_loop(design, j, gamma, X, trace, iterations, converged):
+    """Row j's solution X with its selection summaries, one row at a time:
+    the package's per-row summary before a path index's rows were summarized
+    together."""
+    from fvar.solver import (FitResult, df_from_contributions,
+                             information_criterion)
+
+    Y = design.responses[j]
+    resid = Y - design.design @ X
+    vpsi_sq = design.n_eff * np.add.reduceat(np.einsum("ij,ij->i", X, X),
+                                             design.offsets[:-1])
+    fit = FitResult(j=j, gamma=gamma, psi_stacked=design.unstandardize @ X,
+                    offsets=design.offsets, p=design.p, coeffs_std=X,
+                    objective_trace=trace, iterations=iterations,
+                    converged=converged, rss=float(np.sum(resid * resid)),
+                    vpsi_sq=vpsi_sq,
+                    df=df_from_contributions(
+                        vpsi_sq, design.block_sizes() * Y.shape[1], gamma),
+                    aic=0.0, bic=0.0)
+    fit.aic = information_criterion(design, fit, 2.0)
+    fit.bic = information_criterion(design, fit, np.log(design.n))
+    return fit
+
+
 def kkt_loop(gram, hmat, X, offsets, gamma):
     """Group-lasso KKT residuals block by block: the worst zero-block excess
     max(0, ||g_k|| - gamma) and the worst active-block norm
@@ -304,6 +328,15 @@ def kkt_loop(gram, hmat, X, offsets, gamma):
         else:
             active_res = max(active_res, np.linalg.norm(gb + gamma * xb / nx))
     return zero_excess, active_res
+
+
+def hs_norms_loop(kernels):
+    """(L, p, p) Frobenius norms of the blocks Psi_jk^(h), one
+    ``np.linalg.norm`` per block."""
+    o = kernels.offsets
+    blocks = [slice(a, b) for a, b in zip(o, o[1:])]
+    return np.array([[[np.linalg.norm(lag[k, j]) for k in blocks]
+                      for j in blocks] for lag in kernels.lags])
 
 
 def fpca_components(delta, grams, q, eta):

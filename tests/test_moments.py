@@ -357,7 +357,7 @@ class TestStabilitySkipsGridPoints:
         assert rep.theta_evaluations <= 512 // 4
         assert (rep.value, rep.argmax_theta) == stability_grid_tops(C, N, 1024)[:2]
 
-    @pytest.mark.parametrize("subset", [[], [2], [-1], [0, 0]])
+    @pytest.mark.parametrize("subset", [[], [2], [-1], [0, 0], [1.7], [True]])
     def test_malformed_subset_rejected(self, subset):
         with pytest.raises(ConfigError):
             stability_measure_var1(0.5 * np.eye(2), np.eye(2), 64, subset=subset)

@@ -1,6 +1,7 @@
 """Tests for the design assembly, block FISTA solver, selection and recovery."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,18 +10,17 @@ from fvar.basis import BasisSpec, evaluate_basis
 from fvar.errors import ConfigError, DataError, NumericalError
 from fvar.fpca import KLModel, fit_regularized_fpca
 from fvar.pipeline import sweep_path
-from fvar.solver import (KernelEstimate, block_fista_gram, build_design,
-                         default_gamma_grid,
+from fvar.solver import (KernelEstimate, best_fit, block_fista_gram,
+                         build_design, default_gamma_grid,
                          df_from_contributions, fit_row, gamma_max,
                          group_soft_threshold, information_criterion,
-                         kkt_residuals, recover_kernels, regularization_path,
-                         select_gamma)
+                         kkt_residuals, recover_kernels, regularization_path)
 from fvar.vfar import gen_block_banded, simulate_coefficients
 
 from helpers import (kl_from_scores, lagged_scores, oracle_design,
                      oracle_models)
-from oracles import (block_coordinate_descent, fista_row, group_objective,
-                     kkt_loop, path_rows)
+from oracles import (block_coordinate_descent, fista_row, fit_result_loop,
+                     group_objective, hs_norms_loop, kkt_loop, path_rows)
 
 
 def fista_from_data(Y, B, gamma, offsets, step=None, **kwargs):
@@ -322,11 +322,11 @@ class TestMixedBlocks:
         back = KernelEstimate.from_json(text)
         assert back.to_json() == text
         np.testing.assert_array_equal(back.hs, est.hs)
+        loop = hs_norms_loop(est)
+        np.testing.assert_allclose(est.hs, loop, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(est.hs > 0, loop > 0)
         for h in range(design.L):
             for j in range(design.p):
-                assert est.hs[h, j].tolist() == [
-                    float(np.linalg.norm(fits[j].psi[h][k]))
-                    for k in range(design.p)]
                 for k in range(design.p):
                     np.testing.assert_array_equal(back.psi[h][j][k],
                                                   est.psi[h][j][k])
@@ -607,7 +607,7 @@ class TestFitRowAndSelection:
             kl = [kl_from_scores(rng.standard_normal((200, 2)),
                                  BasisSpec("fourier", 2)) for _ in range(5)]
             design = build_design(kl, 1)
-            best, _ = select_gamma(design, 0, criterion="bic", n_gammas=30)
+            best = best_fit(regularization_path(design, 0, n_gammas=30), "bic")
             picks_empty += int(best.active().sum() == 0)
         assert picks_empty >= 0.8 * reps
 
@@ -628,15 +628,11 @@ class TestRegularizationPath:
     def test_warm_equals_cold_objectives(self):
         design, _ = oracle_design(p=3, q=2, n=60, seed=51)
         grid = default_gamma_grid(design, 0, 15)
-        warm = regularization_path(design, 0, gamma_grid=grid, warm_start=True,
-                                   tol=1e-12)
-        cold = regularization_path(design, 0, gamma_grid=grid, warm_start=False,
-                                   tol=1e-12)
+        warm = regularization_path(design, 0, gamma_grid=grid, tol=1e-12)
+        cold = [fit_row(0, design, gamma, tol=1e-12) for gamma in grid]
         for fw, fc in zip(warm, cold):
-            fr = fw.rss + 0.0
             assert abs(fw.objective_trace[-1] - fc.objective_trace[-1]) <= \
                 1e-6 * max(1.0, abs(fc.objective_trace[-1]))
-            del fr
 
     def test_increasing_grid_rejected(self):
         design, _ = oracle_design()
@@ -675,6 +671,63 @@ class TestRegularizationPath:
             assert a.iterations == b.iterations
             np.testing.assert_allclose(a.coeffs_std, b.coeffs_std, rtol=0,
                                        atol=1e-13)
+
+    @pytest.mark.parametrize("make", [lambda: mixed_block_design(L=2),
+                                      desk_design], ids=["mixed-L2", "desk-p20"])
+    def test_index_summaries_match_per_row_loop(self, make):
+        design = make()
+        paths = regularization_path(design, range(design.p), n_gammas=12)
+        for path in paths:
+            for fit in path:
+                want = fit_result_loop(design, fit.j, fit.gamma,
+                                       np.ascontiguousarray(fit.coeffs_std),
+                                       fit.objective_trace, fit.iterations,
+                                       fit.converged)
+                np.testing.assert_array_equal(fit.active(), want.active())
+                for name in ("psi_stacked", "vpsi_sq", "rss", "df", "aic",
+                             "bic"):
+                    np.testing.assert_allclose(getattr(fit, name),
+                                               getattr(want, name),
+                                               rtol=1e-13, atol=0)
+
+    def test_all_rows_df_exact_at_gamma_zero(self):
+        # c10's exact count, now from a batched index
+        design, _ = oracle_design(p=3, q=2, n=80, seed=23)
+        for (fit,) in regularization_path(design, range(design.p),
+                                          gamma_grid=[0.0], tol=1e-12):
+            q_j = design.responses[fit.j].shape[1]
+            assert fit.df == float((design.block_sizes() * q_j).sum())
+
+    @pytest.mark.parametrize("j, ratio", [(0, 0.0), (1, 0.3), (2, 0.05),
+                                          (3, 1.5)])
+    def test_fit_row_is_the_one_row_solve_exactly(self, j, ratio):
+        design = mixed_block_design(L=2)
+        gamma = ratio * gamma_max(design, j)
+        Y = design.responses[j]
+        info = block_fista_gram(design.gram, design.design.T @ Y,
+                                float(np.sum(Y * Y)), design.offsets, gamma,
+                                design.step_size(), row_ids=[j])
+        want = fit_result_loop(design, j, gamma, info.x, info.objective_trace,
+                               info.iterations, info.converged)
+        fit = fit_row(j, design, gamma)
+        for name in ("psi_stacked", "coeffs_std", "objective_trace",
+                     "vpsi_sq"):
+            np.testing.assert_array_equal(getattr(fit, name),
+                                          getattr(want, name))
+        for name in ("j", "gamma", "iterations", "converged", "rss", "df",
+                     "aic", "bic"):
+            assert getattr(fit, name) == getattr(want, name)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda d: fit_row(-1, d, 1.0), "row -1 is out of range for p=3"),
+        (lambda d: fit_row(3, d, 1.0), "row 3 is out of range for p=3"),
+        (lambda d: regularization_path(d, [0, -1]), "row -1 is out of range"),
+        (lambda d: regularization_path(d, [1, 1]), "row 1 is repeated"),
+        (lambda d: regularization_path(d, [0, 1.0]), "not an integer")])
+    def test_bad_rows_rejected(self, call, match):
+        kl, _ = oracle_models(p=3)
+        with pytest.raises(ConfigError, match=match):
+            call(build_design(kl, 1))
 
     @pytest.mark.parametrize("kwargs, name", [
         (dict(n_gammas=0), "n_gammas"), (dict(min_ratio=0.0), "min_ratio"),
@@ -724,6 +777,16 @@ class TestRecoverKernels:
         u = np.linspace(0, 1, 7)
         np.testing.assert_array_equal(est.evaluate(1, 0, 1, u, u), 0.0)
 
+    @pytest.mark.parametrize("rows", [[0, 0, 1], [0, 1], [0, 1, 2, 2],
+                                      [0, 1, 3]])
+    def test_fits_must_cover_each_row_once(self, rows):
+        kl, _ = oracle_models(p=3)
+        design = build_design(kl, 1)
+        fits = {j: fit_row(j, design, 1.0) for j in range(3)}
+        fits[3] = type("F", (), {"j": 3, "psi_stacked": fits[2].psi_stacked})()
+        with pytest.raises(ConfigError, match=re.escape(f"got rows {sorted(rows)}")):
+            recover_kernels([fits[j] for j in rows], kl)
+
     def test_oracle_round_trip_reproduces_kernels(self):
         model = gen_block_banded(p=3, G=4, bandwidth=1, seed=60,
                                  measurement_noise=0.0)
@@ -760,6 +823,21 @@ class TestRecoverKernels:
                 A = est.evaluate(1, j, k, u, u)
                 quad = np.sqrt(float(w @ (A * A) @ w))
                 assert quad == pytest.approx(est.hs[0, j, k], abs=1e-4)
+
+    @pytest.mark.parametrize("make", [lambda: mixed_block_design(L=2),
+                                      desk_design], ids=["mixed-L2", "desk-p20"])
+    def test_hs_matches_norm_loop(self, make):
+        design = make()
+        kl = [kl_from_scores(r, BasisSpec("fourier", 5))
+              for r in design.responses]
+        _, estimates = sweep_path(design, kl, n_gammas=8)
+        zeros = 0
+        for est in estimates:
+            loop = hs_norms_loop(est)
+            np.testing.assert_array_equal(est.hs > 0, loop > 0)
+            np.testing.assert_array_max_ulp(est.hs, loop, maxulp=4)
+            zeros += int((loop == 0).sum())
+        assert 0 < zeros < sum(est.hs.size for est in estimates)
 
     def test_json_round_trip(self):
         design, _ = oracle_design()
