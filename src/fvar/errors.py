@@ -1,10 +1,7 @@
-"""Exception types shared across the package, the JSON reader that turns
-malformed input into a ``DataError``, and the index check that turns bad
-indices into a ``ConfigError``."""
+"""Exception types shared across the package, and the JSON reader that
+turns malformed input into a ``DataError``."""
 
 import json
-
-import numpy as np
 
 
 class FvarError(Exception):
@@ -38,20 +35,3 @@ def parse_json(text: str, build, what: str):
         raise
     except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"{what} is malformed: {exc}") from None
-
-
-def check_indices(values, size: int, what: str, bound: str) -> list:
-    """``values`` as a nonempty list of distinct integers in [0, size); a
-    ``ConfigError`` names any other entry as a ``what``."""
-    seen = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ConfigError(f"{what} {v!r} is not an integer")
-        if not 0 <= v < size:
-            raise ConfigError(f"{what} {v} is out of range for {bound}={size}")
-        if v in seen:
-            raise ConfigError(f"{what} {v} is repeated")
-        seen.append(int(v))
-    if not seen:
-        raise ConfigError(f"no {what} given")
-    return seen

@@ -32,8 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import BasisSpec
-from .errors import (ConfigError, DataError, NonstationaryError, NumericalError,
-                     check_indices)
+from .errors import ConfigError, DataError, NonstationaryError, NumericalError
 
 
 @dataclass
@@ -165,11 +164,21 @@ def _check_system(C, noise_cov) -> tuple[np.ndarray, np.ndarray]:
     return C, N
 
 
-def _check_subset(subset, d: int) -> np.ndarray:
-    """The coordinates of ``subset`` (all d when None) as an index array."""
-    if subset is None:
-        return np.arange(d)
-    return np.array(check_indices(subset, d, "subset coordinate", "d"))
+def check_indices(values, size: int, what: str, bound: str) -> list:
+    """``values`` as a nonempty list of distinct integers in [0, size); a
+    ``ConfigError`` names any other entry as a ``what``."""
+    seen = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ConfigError(f"{what} {v!r} is not an integer")
+        if not 0 <= v < size:
+            raise ConfigError(f"{what} {v} is out of range for {bound}={size}")
+        if v in seen:
+            raise ConfigError(f"{what} {v} is repeated")
+        seen.append(int(v))
+    if not seen:
+        raise ConfigError(f"no {what} given")
+    return seen
 
 
 def _density_forms(C: np.ndarray, N: np.ndarray, thetas: np.ndarray,
@@ -311,7 +320,8 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
                           f"got {theta_grid_size!r}")
     C, N = _check_system(C, noise_cov)
     d = C.shape[0]
-    idx = _check_subset(subset, d)
+    idx = np.array(range(d) if subset is None else
+                   check_indices(subset, d, "subset coordinate", "d"))
     S0 = var1_stationary_cov(C, N)
     left = np.zeros((idx.size, d))
     left[:, idx] = sym_inv_sqrt(S0[np.ix_(idx, idx)],

@@ -48,10 +48,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import (ConfigError, DataError, NumericalError, check_indices,
-                     parse_json)
+from .errors import ConfigError, DataError, NumericalError, parse_json
 from .fpca import KLModel
-from .moments import sym_inv_sqrt
+from .moments import check_indices, sym_inv_sqrt
 
 IC_FLOOR = 1e-300
 # relative objective increase, on the scale of ||Y||_F^2, that a
@@ -477,36 +476,6 @@ def check_criterion(criterion: str) -> None:
         raise ConfigError("criterion must be 'aic' or 'bic'")
 
 
-def _index_fits(design: DesignSet, rows: list, gammas: np.ndarray,
-                Y: np.ndarray, col_offsets: np.ndarray,
-                info: SolveInfo):
-    """One grid index's fits from the batched solution ``info.x``, whose
-    columns stack the rows as ``Y`` does.  The blocks and residuals of all
-    rows are one product each; the ||V Psi||_F^2 column sums stay a per-row
-    ``einsum``, as in a lone row's fit, so fixed-gamma fits stay
-    bit-identical.  The criteria multiply log(RSS) by (n - L) * q_j, with
-    kappa = 2 for AIC and log(n) for BIC."""
-    psi = design.unstandardize @ info.x
-    resid = Y - design.design @ info.x
-    sq = resid * resid
-    for b, (j, lo, hi) in enumerate(zip(rows, col_offsets, col_offsets[1:])):
-        X = info.x[:, lo:hi]
-        vpsi_sq = design.n_eff * block_sq_norms(X, design.offsets[:-1])
-        fit = FitResult(j=j, gamma=float(gammas[b]), psi_stacked=psi[:, lo:hi],
-                        offsets=design.offsets, p=design.p, coeffs_std=X,
-                        objective_trace=info.traces[b],
-                        iterations=int(info.row_iterations[b]),
-                        converged=bool(info.row_converged[b]),
-                        rss=float(np.sum(sq[:, lo:hi])), vpsi_sq=vpsi_sq,
-                        df=df_from_contributions(
-                            vpsi_sq, design.block_sizes() * (hi - lo),
-                            gammas[b]),
-                        aic=0.0, bic=0.0)
-        fit.aic = information_criterion(design, fit, 2.0)
-        fit.bic = information_criterion(design, fit, np.log(design.n))
-        yield fit
-
-
 def fit_row(j: int, design: DesignSet, gamma: float, tol: float = 1e-8,
             max_iter: int = 10000) -> FitResult:
     """Row j at the given (standardized-units) gamma, with its selection
@@ -577,10 +546,30 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
         info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
                                 gammas, design.step_size(), tol, max_iter, x0,
                                 col_offsets=col_offsets, row_ids=rows)
-        for path, fit in zip(paths, _index_fits(design, rows, gammas, Y,
-                                                col_offsets, info)):
-            path.append(fit)
         x0 = info.x
+        # one product each gives every row's blocks and residuals; the
+        # ||V Psi||^2 column sums stay a per-row einsum, as in a lone row's
+        # fit, so that fixed-gamma fits stay bit-identical
+        psi = design.unstandardize @ x0
+        resid = Y - design.design @ x0
+        sq = resid * resid
+        for b, (row, lo, hi) in enumerate(zip(rows, col_offsets,
+                                              col_offsets[1:])):
+            X = x0[:, lo:hi]
+            vpsi_sq = design.n_eff * block_sq_norms(X, design.offsets[:-1])
+            fit = FitResult(
+                j=row, gamma=float(gammas[b]), psi_stacked=psi[:, lo:hi],
+                offsets=design.offsets, p=design.p, coeffs_std=X,
+                objective_trace=info.traces[b],
+                iterations=int(info.row_iterations[b]),
+                converged=bool(info.row_converged[b]),
+                rss=float(np.sum(sq[:, lo:hi])), vpsi_sq=vpsi_sq,
+                df=df_from_contributions(
+                    vpsi_sq, design.block_sizes() * (hi - lo), gammas[b]),
+                aic=0.0, bic=0.0)
+            fit.aic = information_criterion(design, fit, 2.0)
+            fit.bic = information_criterion(design, fit, np.log(design.n))
+            paths[b].append(fit)
     return paths[0] if one else paths
 
 
