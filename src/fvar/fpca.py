@@ -18,11 +18,9 @@ per chosen eta for the full-sample models.  ``cross_validate`` and
 ``matmul`` or ``eigh`` is bit-identical to the one-variable call when it
 keeps that call's memory layout, and per-component vectors stay
 matrix-vector products, ``(P @ X[..., None])[..., 0]``: ``P @ X`` would be
-a GEMM that rounds differently.  The projection stays one solve per
-variable, because LAPACK rounds the last right-hand sides of a call
-differently when their count is not a multiple of the BLAS kernel width
-(4 with OpenBLAS 0.3 on x86-64): one solve for the panel changes the fits
-at n = 30, 201 or 250.
+a GEMM that rounds differently.  The curves go to basis coefficients by
+one least-squares projector per basis, R^-1 Q^T from one QR of the basis
+matrix, applied to the whole stack by one ``matmul``.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from .basis import BasisSpec, GramPair, evaluate_basis, gram_matrices
 from .errors import ConfigError, DataError, NumericalError
@@ -110,14 +109,15 @@ class PanelFPCA:
 
 def project_to_basis(curves: np.ndarray, grid: np.ndarray, basis: BasisSpec) -> np.ndarray:
     """Penalty-free least-squares basis coefficients, one row per curve:
-    (n, T) curves give (n, G), a (p, n, T) stack gives (p, n, G)."""
-    curves = np.asarray(curves, dtype=float)
+    (n, T) curves give (n, G), a (p, n, T) stack gives (p, n, G).  A basis
+    without full column rank on the grid is a ConfigError."""
     B = evaluate_basis(basis, grid)
-    stack = curves.reshape(-1, *curves.shape[-2:])
-    coeffs = np.empty((len(stack), B.shape[1], stack.shape[1]))
-    for c, out in zip(stack, coeffs):
-        out[...] = np.linalg.lstsq(B, c.T, rcond=None)[0]
-    return np.swapaxes(coeffs, 1, 2).reshape(*curves.shape[:-1], -1)
+    if np.linalg.matrix_rank(B) < B.shape[1]:
+        raise ConfigError(f"{basis.kind} basis of dimension {basis.dimension} "
+                          f"is rank deficient on the {len(grid)}-point grid")
+    Q, R = np.linalg.qr(B)
+    return np.asarray(curves, dtype=float) @ scipy.linalg.solve_triangular(
+        R, Q.T).T
 
 
 def _whiten(grams: GramPair, eta: float):

@@ -318,6 +318,21 @@ class TestPanel:
         assert m.truncated and m.q == 1
         assert not any(m.truncated for m in stage1.kl_models[1:])
 
+    @pytest.mark.parametrize("n, p", [(30, 3), (201, 1), (250, 20)])
+    def test_stacked_projection_is_the_one_variable_projection(self, n, p):
+        curves = np.random.default_rng(n + p).standard_normal((p, n, GRID.size))
+        stacked = project_to_basis(curves, GRID, self.BASIS)
+        for j in range(p):
+            np.testing.assert_array_equal(
+                stacked[j], project_to_basis(curves[j], GRID, self.BASIS))
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 1.0, 8),
+                                      np.repeat(np.linspace(0.0, 1.0, 5), 2)],
+                             ids=["fewer-points", "repeated-points"])
+    def test_rank_deficient_basis_rejected(self, grid):
+        with pytest.raises(ConfigError, match="rank deficient"):
+            project_to_basis(np.ones((3, grid.size)), grid, self.BASIS)
+
     @pytest.mark.parametrize("p", [2, 6])
     def test_eigh_calls_do_not_grow_with_p(self, p, monkeypatch):
         calls = []
