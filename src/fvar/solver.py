@@ -197,12 +197,13 @@ def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:
 
 def block_sq_norms(a: np.ndarray, starts: np.ndarray,
                    col_starts: np.ndarray | None = None) -> np.ndarray:
-    """Squared Frobenius norm of each row block of the 2-d array ``a``;
-    block k starts at row ``starts[k]`` and ends where the next one starts.
-    Given ``col_starts``, the columns of ``a``'s last two axes split into
-    blocks the same way, and entry [..., k, c] is the squared norm of row
-    block k within column block c.  Every block must be nonempty:
-    ``reduceat`` reads an empty one as the single row at its start."""
+    """Squared Frobenius norm of each row block of ``a`` over its last two
+    axes; block k starts at row ``starts[k]`` and ends where the next one
+    starts.  Without ``col_starts`` ``a`` is 2-d and a block spans every
+    column; with it the columns split into blocks the same way, and entry
+    [..., k, c] is row block k within column block c.  Every block must be
+    nonempty: ``reduceat`` reads an empty one as the single row at its
+    start."""
     if col_starts is None:
         return np.add.reduceat(np.einsum("ij,ij->i", a, a), starts)
     return np.add.reduceat(np.add.reduceat(a * a, col_starts, axis=-1),
@@ -555,10 +556,13 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
         sq = resid * resid
         for b, (row, lo, hi) in enumerate(zip(rows, col_offsets,
                                               col_offsets[1:])):
-            X = x0[:, lo:hi]
+            # copies, so that a fit kept alone does not keep its index's
+            # whole arrays alive
+            X = x0[:, lo:hi].copy()
             vpsi_sq = design.n_eff * block_sq_norms(X, design.offsets[:-1])
             fit = FitResult(
-                j=row, gamma=float(gammas[b]), psi_stacked=psi[:, lo:hi],
+                j=row, gamma=float(gammas[b]),
+                psi_stacked=psi[:, lo:hi].copy(),
                 offsets=design.offsets, p=design.p, coeffs_std=X,
                 objective_trace=info.traces[b],
                 iterations=int(info.row_iterations[b]),
@@ -688,11 +692,11 @@ def recover_kernels(fits: list[FitResult], kl_models: list[KLModel]) -> KernelEs
     """Assemble the functional estimates from the p row fits: row j's
     ``psi_stacked`` is column slice j of the stacked lag arrays.  The fits
     must cover each row 0..p-1 once."""
-    rows = sorted(f.j for f in fits)
+    fits = sorted(fits, key=lambda f: f.j)
+    rows = [f.j for f in fits]
     if rows != list(range(len(kl_models))):
         raise ConfigError(f"need one fit for each of the {len(kl_models)} "
                           f"rows 0..{len(kl_models) - 1}; got rows {rows}")
-    stacked = np.hstack([f.psi_stacked
-                         for f in sorted(fits, key=lambda f: f.j)])
+    stacked = np.hstack([f.psi_stacked for f in fits])
     q = stacked.shape[1]
     return KernelEstimate(kl_models=kl_models, lags=stacked.reshape(-1, q, q))
