@@ -195,19 +195,12 @@ def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:
     return out
 
 
-def block_sq_norms(a: np.ndarray, starts: np.ndarray,
-                   col_starts: np.ndarray | None = None) -> np.ndarray:
-    """Squared Frobenius norm of each row block of ``a`` over its last two
-    axes; block k starts at row ``starts[k]`` and ends where the next one
-    starts.  Without ``col_starts`` ``a`` is 2-d and a block spans every
-    column; with it the columns split into blocks the same way, and entry
-    [..., k, c] is row block k within column block c.  Every block must be
-    nonempty: ``reduceat`` reads an empty one as the single row at its
-    start."""
-    if col_starts is None:
-        return np.add.reduceat(np.einsum("ij,ij->i", a, a), starts)
-    return np.add.reduceat(np.add.reduceat(a * a, col_starts, axis=-1),
-                           starts, axis=-2)
+def block_sq_norms(a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each row block of the 2-d array ``a``;
+    block k starts at row ``starts[k]`` and ends where the next one starts.
+    Every block must be nonempty: ``reduceat`` reads an empty one as the
+    single row at its start."""
+    return np.add.reduceat(np.einsum("ij,ij->i", a, a), starts)
 
 
 def accel_backend() -> str:
@@ -626,10 +619,12 @@ class KernelEstimate:
             raise ConfigError(f"psi arrays of shape {self.lags.shape[1:]} do "
                               "not match the components of the KL models")
         self.lags.flags.writeable = False
+        # squares summed over each column block j, then each row block k:
+        # sq[h, k, j] = ||Psi_jk^(h)||_F^2
         starts = self.offsets[:-1]
-        # block_sq_norms indexes [h, k, j]: the row block is the source k
-        self.hs = np.sqrt(block_sq_norms(self.lags, starts, starts)
-                          ).transpose(0, 2, 1)
+        sq = np.add.reduceat(np.add.reduceat(self.lags * self.lags, starts,
+                                             axis=2), starts, axis=1)
+        self.hs = np.sqrt(sq).transpose(0, 2, 1)
 
     @property
     def L(self) -> int:
