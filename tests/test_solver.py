@@ -680,9 +680,8 @@ class TestRegularizationPath:
         for path in paths:
             for fit in path:
                 want = fit_result_loop(design, fit.j, fit.gamma,
-                                       np.ascontiguousarray(fit.coeffs_std),
-                                       fit.objective_trace, fit.iterations,
-                                       fit.converged)
+                                       fit.coeffs_std, fit.objective_trace,
+                                       fit.iterations, fit.converged)
                 np.testing.assert_array_equal(fit.active(), want.active())
                 for name in ("psi_stacked", "vpsi_sq", "rss", "df", "aic",
                              "bic"):
@@ -784,7 +783,8 @@ class TestRecoverKernels:
         design = build_design(kl, 1)
         fits = {j: fit_row(j, design, 1.0) for j in range(3)}
         fits[3] = type("F", (), {"j": 3, "psi_stacked": fits[2].psi_stacked})()
-        with pytest.raises(ConfigError, match=re.escape(f"got rows {sorted(rows)}")):
+        match = re.escape(f"got rows {sorted(rows)}")
+        with pytest.raises(ConfigError, match=match):
             recover_kernels([fits[j] for j in rows], kl)
 
     def test_oracle_round_trip_reproduces_kernels(self):
