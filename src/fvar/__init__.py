@@ -15,10 +15,9 @@ from .errors import (ConfigError, DataError, FvarError, NonstationaryError,
                      NumericalError)
 from .fpca import KLModel, cross_validate, fit_regularized_fpca, reconstruct
 from .harness import SCENARIOS, run_concentration
-from .moments import (AutocovEstimate, ScoreCov, StabilityReport,
-                      autocov_empirical, operator_norm_var1_kernel,
-                      score_autocov, stability_measure_var1,
-                      var1_spectral_density, var1_stationary_cov)
+from .moments import (StabilityReport, operator_norm_var1_kernel,
+                      stability_measure_var1, var1_spectral_density,
+                      var1_stationary_cov)
 from .network import (CausalGraph, EvalReport, cidr_transform, extract_network,
                       relative_error, roc_and_auroc)
 from .panel import CurvePanel

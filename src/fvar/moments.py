@@ -1,4 +1,4 @@
-"""Autocovariance estimators, score covariances and the stability measure.
+"""The functional stability measure and its building blocks.
 
 The stability measure of a stationary process with a known finite-dimensional
 VAR(1) representation x_t = C x_{t-1} + e_t is the supremum over frequencies
@@ -26,50 +26,12 @@ below g and cannot hold the maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .basis import BasisSpec
 from .errors import ConfigError, DataError, NonstationaryError, NumericalError
-
-
-@dataclass
-class AutocovEstimate:
-    """Lag-h autocovariance in basis coordinates.
-
-    ``blocks[j, k]`` is the G x G matrix C_jk with kernel
-    Sigma_jk(u, v) = b(u)^T C_jk b(v).
-    """
-
-    h: int
-    blocks: np.ndarray  # (p, p, G, G)
-    basis: BasisSpec
-
-    def stacked(self) -> np.ndarray:
-        """The pG x pG block matrix."""
-        p, _, G, _ = self.blocks.shape
-        return self.blocks.transpose(0, 2, 1, 3).reshape(p * G, p * G)
-
-    def hs_norms(self) -> np.ndarray:
-        """(p, p) Hilbert-Schmidt norms, exact for an orthonormal basis."""
-        return np.sqrt(np.einsum("jkab,jkab->jk", self.blocks, self.blocks))
-
-
-@dataclass
-class ScoreCov:
-    """Lag-h covariances sigma_jklm between FPC scores.
-
-    ``blocks[j][k]`` is the (q_j, q_k) matrix with (l, m) entry
-    (n-h)^{-1} sum_t xi_{t,j,l} xi_{t+h,k,m}.
-    """
-
-    h: int
-    blocks: list
-
-    def get(self, j: int, k: int, l: int, m: int) -> float:
-        return float(self.blocks[j][k][l, m])
 
 
 @dataclass
@@ -79,38 +41,6 @@ class StabilityReport:
     theta_grid_size: int
     lambda0: float
     theta_evaluations: int  # grid points at which the density was evaluated
-
-
-def autocov_empirical(coeff_panel: np.ndarray, h: int,
-                      basis: BasisSpec) -> AutocovEstimate:
-    """Empirical lag-h autocovariance (n-h)^{-1} sum_t X_t(u) X_{t+h}(v)^T.
-
-    ``coeff_panel`` holds centered basis coefficients with shape (n, p, G).
-    """
-    panel = np.asarray(coeff_panel, dtype=float)
-    n = panel.shape[0]
-    if h < 0 or h >= n:
-        raise ConfigError(f"lag {h} needs more than {h} observations")
-    head = panel[: n - h]
-    tail = panel[h:]
-    blocks = np.einsum("tja,tkb->jkab", head, tail) / (n - h)
-    return AutocovEstimate(h=h, blocks=blocks, basis=basis)
-
-
-def score_autocov(scores, h: int) -> ScoreCov:
-    """Lag-h covariances of per-variable score matrices.
-
-    ``scores`` is a sequence of (n, q_j) arrays sharing n.
-    """
-    mats = [np.asarray(s, dtype=float) for s in scores]
-    n = mats[0].shape[0]
-    if any(m.shape[0] != n for m in mats):
-        raise ConfigError("score matrices must share the sample size")
-    if h < 0 or h >= n:
-        raise ConfigError(f"lag {h} needs more than {h} observations")
-    blocks = [[mats[j][: n - h].T @ mats[k][h:] / (n - h) for k in range(len(mats))]
-              for j in range(len(mats))]
-    return ScoreCov(h=h, blocks=blocks)
 
 
 def spectral_radius_matrix(mat: np.ndarray) -> float:

@@ -107,7 +107,6 @@ class FitResult:
     offsets: np.ndarray        # block row offsets into psi_stacked
     p: int
     coeffs_std: np.ndarray     # (r, q_j) standardized solution
-    objective_trace: np.ndarray
     iterations: int
     converged: bool
     rss: float
@@ -216,16 +215,9 @@ class SolveInfo:
     ``iterations`` is the sum of the per-row iteration counts."""
 
     x: np.ndarray
-    traces: list               # per row, objective at each proximal point
     row_iterations: np.ndarray
     row_converged: np.ndarray
     iterations: int
-
-    @property
-    def objective_trace(self) -> np.ndarray:
-        """The trace of a one-row solve."""
-        (trace,) = self.traces
-        return trace
 
     @property
     def converged(self) -> bool:
@@ -265,9 +257,6 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
     beyond rounding; a momentum-free step that raises it materially means
     the step size exceeds the inverse Lipschitz bound and raises
     NumericalError naming the row.
-
-    ``traces[b]`` holds row b's objective at each proximal point, entry 0
-    at ``x0``.
     """
     hmat = np.asarray(hmat, dtype=float)
     r, width = hmat.shape
@@ -326,17 +315,16 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
         j = row_ids[int(np.argmin(np.isfinite(g_prev)))]
         raise NumericalError(
             f"row {j}: objective is not finite at the starting point")
-    g_start = g_prev
     theta = np.ones(n_rows)
     pure_step = np.ones(n_rows, dtype=bool)  # x is the last proximal point
     skip_check = np.zeros(n_rows, dtype=bool)
     x_out = np.empty_like(ht)
     converged = np.zeros(n_rows, dtype=bool)
-    # objective histories: one array over the active rows per iteration,
-    # split into epochs at each change of the active set
-    epochs, hist = [], []
+    # every running row takes each iteration, so a row's count is the
+    # iteration at which it is frozen
+    row_iterations = np.full(n_rows, max_iter)
 
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         z = x - step * (gx - ht)
         zn = block_norms(z)
         scale = 1.0 - tau / np.maximum(zn, floor)
@@ -386,7 +374,6 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
         else:
             theta, g = theta_new, g_cand
         x, gx, xt, gxt = x_ext, gx_ext, xt_new, gxt_new
-        hist.append(g)
         g_prev = g
         pure_step = rejected
         skip_check = moved
@@ -395,8 +382,7 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
             fin = done[col_row]
             x_out[cols[fin]] = xt[fin]
             converged[active[done]] = True
-            epochs.append((active, hist))
-            hist = []
+            row_iterations[active[done]] = it
             live, keep = ~fin, ~done
             x, gx, xt, gxt, ht, h2, cols = (a[live] for a in
                                             (x, gx, xt, gxt, ht, h2, cols))
@@ -409,18 +395,9 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
             starts, col_row = layout()
 
     x_out[cols] = xt
-    epochs.append((active, hist))
-    parts = [[g_start[b: b + 1]] for b in range(n_rows)]
-    for rows, h in epochs:
-        if h:
-            stacked = np.array(h)
-            for i, b in enumerate(rows):
-                parts[b].append(stacked[:, i])
-    traces = [np.concatenate(p) for p in parts]
-    iterations = np.array([t.size - 1 for t in traces])
-    return SolveInfo(x=np.ascontiguousarray(x_out.T), traces=traces,
-                     row_iterations=iterations,
-                     row_converged=converged, iterations=int(iterations.sum()))
+    return SolveInfo(x=np.ascontiguousarray(x_out.T),
+                     row_iterations=row_iterations, row_converged=converged,
+                     iterations=int(row_iterations.sum()))
 
 
 def df_from_contributions(vpsi_sq: np.ndarray, group_sizes: np.ndarray,
@@ -557,7 +534,6 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
                 j=row, gamma=float(gammas[b]),
                 psi_stacked=psi[:, lo:hi].copy(),
                 offsets=design.offsets, p=design.p, coeffs_std=X,
-                objective_trace=info.traces[b],
                 iterations=int(info.row_iterations[b]),
                 converged=bool(info.row_converged[b]),
                 rss=float(np.sum(sq[:, lo:hi])), vpsi_sq=vpsi_sq,

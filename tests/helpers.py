@@ -4,8 +4,10 @@ import numpy as np
 
 from fvar.basis import BasisSpec
 from fvar.fpca import KLModel
-from fvar.solver import build_design
+from fvar.solver import block_fista_gram, build_design
 from fvar.vfar import gen_block_banded, simulate_coefficients
+
+from oracles import group_objective_gram
 
 FOURIER5 = BasisSpec("fourier", 5)
 
@@ -44,3 +46,25 @@ def lagged_scores(kl_models, L):
     return np.concatenate([m.scores[L - h: n - h]
                            for h in range(1, L + 1) for m in kl_models],
                           axis=1)
+
+
+def prefix_objectives(gram, hmat, ynorm_sq, offsets, gamma, step, tol, k_max,
+                      x0=None, col_offsets=None):
+    """Each row's objective at ``x0`` and at the point a solve capped at
+    ``max_iter=k`` returns, for k = 1..k_max: row b's proximal point after k
+    iterations, or its last one if it stopped earlier.  Arguments as for
+    ``block_fista_gram``; returns a (k_max + 1, rows) array."""
+    cols = [0, hmat.shape[1]] if col_offsets is None else list(col_offsets)
+    rows = len(cols) - 1
+    gammas = np.broadcast_to(gamma, (rows,))
+    yn = np.broadcast_to(ynorm_sq, (rows,))
+    x = np.zeros_like(hmat) if x0 is None else x0
+    out = []
+    for k in range(k_max + 1):
+        if k:
+            x = block_fista_gram(gram, hmat, ynorm_sq, offsets, gamma, step,
+                                 tol, k, x0, col_offsets=col_offsets).x
+        out.append([group_objective_gram(gram, hmat[:, lo:hi], yn[b],
+                                         x[:, lo:hi], offsets, gammas[b])
+                    for b, (lo, hi) in enumerate(zip(cols, cols[1:]))])
+    return np.array(out)

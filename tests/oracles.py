@@ -67,6 +67,14 @@ def group_objective(Y, B, X, offsets, gamma):
     return 0.5 * float(np.sum(resid * resid)) + gamma * pen
 
 
+def group_objective_gram(gram, hmat, ynorm_sq, X, offsets, gamma):
+    """``group_objective`` from the Gram data of ``block_fista_gram``:
+    0.5 (||Y||^2 - 2 <B^T Y, X> + <X, B^T B X>) + gamma sum_k ||X_k||_F."""
+    pen = sum(np.linalg.norm(X[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
+    return (0.5 * (ynorm_sq - 2.0 * np.vdot(hmat, X) + np.vdot(X, gram @ X))
+            + gamma * pen)
+
+
 def block_coordinate_descent(Y, B, offsets, gamma, tol=1e-12, max_sweeps=200000):
     """Cyclic blockwise proximal gradient for the group lasso.
 
@@ -290,7 +298,7 @@ def path_rows(design, grids, tol=1e-8, max_iter=10000, warm_starts=None):
     return paths
 
 
-def fit_result_loop(design, j, gamma, X, trace, iterations, converged):
+def fit_result_loop(design, j, gamma, X, iterations, converged):
     """Row j's solution X with its selection summaries, one row at a time:
     the package's per-row summary before a path index's rows were summarized
     together."""
@@ -303,8 +311,8 @@ def fit_result_loop(design, j, gamma, X, trace, iterations, converged):
                                              design.offsets[:-1])
     fit = FitResult(j=j, gamma=gamma, psi_stacked=design.unstandardize @ X,
                     offsets=design.offsets, p=design.p, coeffs_std=X,
-                    objective_trace=trace, iterations=iterations,
-                    converged=converged, rss=float(np.sum(resid * resid)),
+                    iterations=iterations, converged=converged,
+                    rss=float(np.sum(resid * resid)),
                     vpsi_sq=vpsi_sq,
                     df=df_from_contributions(
                         vpsi_sq, design.block_sizes() * Y.shape[1], gamma),

@@ -1,19 +1,14 @@
-"""Tests for autocovariances, score covariances and the stability measure."""
+"""Tests for the stability measure and its building blocks."""
 
 import numpy as np
 import pytest
 
-from fvar.basis import BasisSpec
 from fvar.errors import ConfigError, DataError, NonstationaryError
-from fvar.fpca import fit_regularized_fpca
-from fvar.moments import (autocov_empirical, operator_norm_var1_kernel,
-                          score_autocov, stability_measure_var1,
+from fvar.moments import (operator_norm_var1_kernel, stability_measure_var1,
                           stability_sweep, var1_spectral_density,
                           var1_stationary_cov)
 
 from oracles import lyapunov_series, stability_grid_tops, stability_loop
-
-BASIS = BasisSpec("fourier", 4)
 
 
 def random_system(d, radius=0.8, seed=0):
@@ -41,88 +36,6 @@ def appendix_S0(a, b):
          a * b / (1 - a**2) ** 2],
         [a * b / (1 - a**2) ** 2, 1.0 / (1 - a**2)],
     ])
-
-
-class TestAutocovEmpirical:
-    def test_lag_needs_enough_samples(self):
-        panel = np.zeros((1, 2, 4))
-        with pytest.raises(ConfigError):
-            autocov_empirical(panel, 1, BASIS)
-
-    def test_rank_one_constant_loading(self):
-        rng = np.random.default_rng(0)
-        n = 200
-        load = rng.standard_normal(n)
-        load -= load.mean()
-        panel = np.zeros((n, 1, 4))
-        panel[:, 0, 0] = load
-        est = autocov_empirical(panel, 0, BASIS)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = load @ load / n
-        np.testing.assert_allclose(est.blocks[0, 0], expected, atol=1e-12)
-
-    def test_h0_block_symmetry_and_psd(self):
-        rng = np.random.default_rng(1)
-        panel = rng.standard_normal((50, 3, 4))
-        panel -= panel.mean(axis=0)
-        est = autocov_empirical(panel, 0, BASIS)
-        for j in range(3):
-            for k in range(3):
-                np.testing.assert_allclose(est.blocks[j, k], est.blocks[k, j].T,
-                                           atol=1e-12)
-        eigs = np.linalg.eigvalsh(est.stacked())
-        assert eigs.min() > -1e-10
-
-    def test_iid_lag1_concentration(self):
-        # max-block HS norm < 3 * lambda0 * sqrt(log p / n) in >= 95% of reps
-        p, n, reps = 5, 2000, 200
-        bound_hits = 0
-        for r in range(reps):
-            rng = np.random.default_rng(1000 + r)
-            panel = rng.standard_normal((n, p, 4)) / 2.0
-            panel -= panel.mean(axis=0)
-            est = autocov_empirical(panel, 1, BASIS)
-            lam0 = max(np.trace(panel[:, j].T @ panel[:, j] / n) for j in range(p))
-            if est.hs_norms().max() < 3.0 * lam0 * np.sqrt(np.log(p) / n):
-                bound_hits += 1
-        assert bound_hits >= 0.95 * reps
-
-
-class TestScoreAutocov:
-    def test_diagonal_matches_eigenvalues(self):
-        rng = np.random.default_rng(2)
-        grid = np.linspace(0, 1, 40)
-        curves = rng.standard_normal((60, grid.size))
-        model = fit_regularized_fpca(curves, grid, BasisSpec("fourier", 5), q=3, eta=0.0)
-        cov = score_autocov([model.scores], 0)
-        for l in range(3):
-            assert cov.get(0, 0, l, l) == pytest.approx(model.eigenvalues[l],
-                                                        abs=1e-10)
-
-    def test_orthogonal_columns_vanish(self):
-        rng = np.random.default_rng(3)
-        scores = np.linalg.qr(rng.standard_normal((30, 3)))[0] * np.sqrt(30)
-        cov = score_autocov([scores], 0)
-        off = cov.blocks[0][0] - np.diag(np.diag(cov.blocks[0][0]))
-        assert np.abs(off).max() < 1e-12
-
-    def test_ar1_lag_one(self):
-        rng = np.random.default_rng(4)
-        n, a = 200000, 0.6
-        x = np.empty(n)
-        x[0] = rng.standard_normal() / np.sqrt(1 - a**2)
-        eps = rng.standard_normal(n - 1)
-        for t in range(1, n):
-            x[t] = a * x[t - 1] + eps[t - 1]
-        cov = score_autocov([x[:, None]], 1)
-        lam = x @ x / n
-        assert cov.get(0, 0, 0, 0) == pytest.approx(a * lam, rel=0.05)
-
-    def test_h0_transpose_symmetry(self):
-        rng = np.random.default_rng(5)
-        s1, s2 = rng.standard_normal((40, 2)), rng.standard_normal((40, 3))
-        cov = score_autocov([s1, s2], 0)
-        np.testing.assert_allclose(cov.blocks[0][1], cov.blocks[1][0].T, atol=1e-14)
 
 
 class TestStationaryCov:
