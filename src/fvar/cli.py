@@ -131,6 +131,15 @@ def _stage1_csv(out: Path, stage1) -> None:
               [(j, q, eta) for j, (q, eta) in enumerate(stage1.selections)])
 
 
+def _warn_unconverged(fits, max_iter: int) -> None:
+    """One stderr warning naming the rows of fits stopped at the cap."""
+    stopped = [f.j for f in fits if not f.converged]
+    if stopped:
+        print(f"warning: {len(stopped)} fit(s) did not converge within "
+              f"--max-iter {max_iter} (rows {sorted(set(stopped))}); "
+              "raise --max-iter", file=sys.stderr)
+
+
 def _fit(args, gamma):
     """The three-stage fit of fit and select, at a fixed gamma or, when
     gamma is None, at the one selected by ``--ic``; writes
@@ -144,6 +153,7 @@ def _fit(args, gamma):
     if ic_rows:
         write_csv(out / "ic_table.csv",
                   ["variable", "gamma", "rss", "df", "aic", "bic"], ic_rows)
+    _warn_unconverged(fits, args.max_iter)
     return out, kernels, fits
 
 
@@ -173,6 +183,7 @@ def cmd_path(args) -> int:
                                   n_gammas=args.n_gammas,
                                   min_ratio=args.min_gamma_ratio,
                                   tol=args.tol, max_iter=args.max_iter)
+    _warn_unconverged([f for path in paths for f in path], args.max_iter)
     records = [{
         "index": i,
         "gammas": [paths[j][i].gamma for j in range(design.p)],

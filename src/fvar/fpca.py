@@ -123,8 +123,9 @@ def project_to_basis(curves: np.ndarray, grid: np.ndarray, basis: BasisSpec) -> 
 def _whiten(grams: GramPair, eta: float):
     """(P, s) with P^T (J + eta Q) P = diag(s)^-2; it depends only on the
     basis and eta."""
-    if eta < 0:
-        raise ConfigError("smoothing parameter must be nonnegative")
+    if not 0 <= eta < np.inf:
+        raise ConfigError(f"smoothing parameter must be finite and "
+                          f"nonnegative; got {float(eta)!r}")
     M = grams.J + eta * grams.Q
     w, P = np.linalg.eigh(0.5 * (M + M.T))
     if w.min() <= _RANK_TOL * max(w.max(), 1.0):

@@ -95,8 +95,8 @@ def extract_network(kernels: KernelEstimate, threshold: float | None = None,
         raise ConfigError("labels length does not match the variable count")
 
     if threshold is not None:
-        if threshold < 0:
-            raise ConfigError("threshold must be nonnegative")
+        if not threshold >= 0:
+            raise ConfigError(f"threshold must be >= 0; got {threshold!r}")
         sources = [[k for k in range(p) if weights[j, k] > threshold]
                    for j in range(p)]
     else:

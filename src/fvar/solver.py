@@ -265,8 +265,8 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
                                  else col_offsets, width, "column")
     n_rows = col_offsets.size - 1
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (n_rows,))
-    if not np.all(gamma >= 0):
-        raise ConfigError("gamma must be nonnegative")
+    if not np.all((0 <= gamma) & (gamma < np.inf)):
+        raise ConfigError("gamma must be finite and nonnegative")
     yn = np.broadcast_to(np.asarray(ynorm_sq, dtype=float), (n_rows,))
     row_ids = list(range(n_rows)) if row_ids is None else list(row_ids)
     widths = np.diff(col_offsets)

@@ -256,6 +256,28 @@ class TestFit:
             assert fit.iterations == f["iterations"]
             assert max(kkt_residuals(design, fit)) <= 1e-6 * (1 + 1.0)
 
+    @pytest.mark.parametrize("flags, value", [
+        (("--eta", "nan"), "nan"), (("--eta", "inf"), "inf"),
+        (("--eta-grid", "0,nan"), "nan")])
+    def test_non_finite_eta_is_config_error(self, sim_dir, tmp_path, capsys,
+                                            flags, value):
+        out = tmp_path / "fit"
+        assert run("fit", "--panel", sim_dir / "panel.npz", "--basis-dim", 8,
+                   "--q", 3, *flags, "--gamma", 1, "--out", out) == 2
+        assert ("smoothing parameter must be finite and nonnegative; got "
+                f"{value}") in capsys.readouterr().err
+        assert not (out / "fits.json").exists()
+
+    @pytest.mark.parametrize("gamma", ["inf", "nan"])
+    def test_non_finite_gamma_is_config_error(self, sim_dir, tmp_path, capsys,
+                                              gamma):
+        out = tmp_path / "fit"
+        assert run("fit", "--panel", sim_dir / "panel.npz", "--basis-dim", 8,
+                   "--q", 3, "--eta", 0, "--gamma", gamma, "--out", out) == 2
+        assert ("gamma must be finite and nonnegative"
+                in capsys.readouterr().err)
+        assert not (out / "fits.json").exists()
+
     def test_too_few_time_points_for_lag_order_is_config_error(self, tmp_path,
                                                                 capsys):
         sim = tmp_path / "sim"
@@ -368,6 +390,28 @@ class TestPathAndSelect:
         assert not (out / "fits.json").exists()
 
 
+class TestUnconvergedWarning:
+    @pytest.mark.parametrize("command, extra, count", [
+        ("fit", ("--gamma", 0.01), 3), ("select", ("--n-gammas", 4), 3),
+        ("path", ("--n-gammas", 4), 9)])
+    def test_fits_at_the_iteration_cap_warn_once(self, sim_dir, tmp_path,
+                                                 capsys, command, extra, count):
+        # at --max-iter 2 every fit but the path's all-zero first points
+        # stops at the cap; the outputs and the exit code stay as they are
+        flags = ("--panel", sim_dir / "panel.npz", "--basis-dim", 8, "--q", 3,
+                 "--eta", 1e-4, *extra)
+        assert run(command, *flags, "--max-iter", 2,
+                   "--out", tmp_path / "capped") == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert (f"warning: {count} fit(s) did not converge within --max-iter 2 "
+                "(rows [0, 1, 2]); raise --max-iter") in err
+        assert run(command, *flags, "--out", tmp_path / "full") == 0
+        assert "warning" not in capsys.readouterr().err
+        written = sorted(f.name for f in (tmp_path / "capped").iterdir())
+        assert written == sorted(f.name for f in (tmp_path / "full").iterdir())
+
+
 class TestNetwork:
     def test_graph_from_fit(self, fit_dir, tmp_path):
         out = tmp_path / "net"
@@ -382,6 +426,12 @@ class TestNetwork:
     def test_rule_required(self, fit_dir, tmp_path):
         assert run("network", "--kernels", fit_dir / "kernels.json",
                    "--out", tmp_path) == 2
+
+    def test_nan_threshold_is_config_error(self, fit_dir, tmp_path, capsys):
+        assert run("network", "--kernels", fit_dir / "kernels.json",
+                   "--threshold", "nan", "--out", tmp_path / "net") == 2
+        assert "threshold must be >= 0; got nan" in capsys.readouterr().err
+        assert not (tmp_path / "net" / "graph.json").exists()
 
     @pytest.mark.parametrize("edit, match", [
         (lambda obj: obj["kl_models"][1].pop("basis"), "no key 'basis'"),

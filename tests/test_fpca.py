@@ -262,6 +262,15 @@ class TestAgainstRefit:
             cross_validate(curves, GRID, self.BASIS, [2], [0.0, -1e-3],
                            folds=4, seed=0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_eta_rejected(self, curves, eta):
+        match = f"must be finite and nonnegative; got {eta!r}"
+        with pytest.raises(ConfigError, match=match):
+            fit_regularized_fpca(curves, GRID, self.BASIS, q=2, eta=eta)
+        with pytest.raises(ConfigError, match=match):
+            cross_validate(curves, GRID, self.BASIS, [2], [0.0, eta],
+                           folds=4, seed=0)
+
 
 def mixed_panel(n=62, seed=21):
     """Six variables that CV tells apart: exact rank one (fewer components

@@ -78,6 +78,16 @@ class TestExtractNetwork:
                 active = np.linalg.norm(fits[j].psi[0][k]) > 0
                 assert adj[j, k] == active
 
+    @pytest.mark.parametrize("threshold", [-0.1, np.nan])
+    def test_threshold_below_zero_or_nan_rejected(self, threshold):
+        est = kernels_from_weights(np.ones((2, 2)))
+        with pytest.raises(ConfigError, match=f"got {threshold!r}"):
+            extract_network(est, threshold=threshold)
+
+    def test_infinite_threshold_keeps_no_edge(self):
+        est = kernels_from_weights(np.ones((2, 2)))
+        assert extract_network(est, threshold=np.inf).edges == []
+
     def test_requires_exactly_one_rule(self):
         est = kernels_from_weights(np.ones((2, 2)))
         with pytest.raises(ConfigError):

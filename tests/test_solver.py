@@ -9,7 +9,7 @@ import pytest
 from fvar.basis import BasisSpec, evaluate_basis
 from fvar.errors import ConfigError, DataError, NumericalError
 from fvar.fpca import KLModel, fit_regularized_fpca
-from fvar.pipeline import sweep_path
+from fvar.pipeline import fit_rows, sweep_path
 from fvar.solver import (KernelEstimate, best_fit, block_fista_gram,
                          build_design, default_gamma_grid,
                          df_from_contributions, fit_row, gamma_max,
@@ -558,6 +558,20 @@ class TestBatchedSolve:
             block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
                              [1.0, -1.0, 1.0, 1.0], design.step_size(),
                              col_offsets=col_offsets)
+
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    @pytest.mark.parametrize("call", [
+        lambda d, g: block_fista_gram(d.gram, d.design.T @ d.responses[0], 1.0,
+                                      d.offsets, [1.0, g], d.step_size(),
+                                      col_offsets=[0, 1, 2]),
+        lambda d, g: fit_row(0, d, g),
+        lambda d, g: regularization_path(d, [0, 1], gamma_grid=[g]),
+        lambda d, g: fit_rows(d, gamma=g)],
+        ids=["block_fista_gram", "fit_row", "regularization_path", "fit_rows"])
+    def test_non_finite_gamma_rejected(self, call, gamma):
+        design, _ = oracle_design()
+        with pytest.raises(ConfigError, match="gamma must be finite and nonneg"):
+            call(design, gamma)
 
 
 class TestFitRowAndSelection:
