@@ -124,7 +124,7 @@ def _whiten(grams: GramPair, eta: float):
     """(P, s) with P^T (J + eta Q) P = diag(s)^-2; it depends only on the
     basis and eta."""
     if not 0 <= eta < np.inf:
-        raise ConfigError(f"smoothing parameter must be finite and "
+        raise ConfigError("smoothing parameter must be finite and "
                           f"nonnegative; got {float(eta)!r}")
     M = grams.J + eta * grams.Q
     w, P = np.linalg.eigh(0.5 * (M + M.T))
