@@ -258,6 +258,7 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
     the step size exceeds the inverse Lipschitz bound and raises
     NumericalError naming the row.
     """
+    check_solve_options(tol, max_iter)
     hmat = np.asarray(hmat, dtype=float)
     r, width = hmat.shape
     offsets = _check_offsets(offsets, r, "block")
@@ -492,7 +493,6 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
     """
     one = np.ndim(j) == 0
     rows = check_indices([j] if one else j, design.p, "row", "p")
-    check_solve_options(tol, max_iter)
     if gamma_grid is None:
         grids = np.array([default_gamma_grid(design, b, n_gammas, min_ratio)
                           for b in rows])

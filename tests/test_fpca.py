@@ -98,14 +98,7 @@ class TestPipeline:
         cov = model.scores.T @ model.scores / 80
         off = cov - np.diag(np.diag(cov))
         assert np.abs(off).max() < 1e-8
-
-    def test_eigenvalues_are_score_variances(self):
-        rng = np.random.default_rng(2)
-        grid = np.linspace(0, 1, 40)
-        curves = rng.standard_normal((60, grid.size))
-        model = fit_regularized_fpca(curves, grid, BasisSpec("fourier", 5), q=3, eta=0.0)
-        variances = np.einsum("tl,tl->l", model.scores, model.scores) / 60
-        np.testing.assert_allclose(variances, model.eigenvalues, rtol=0,
+        np.testing.assert_allclose(np.diag(cov), model.eigenvalues, rtol=0,
                                    atol=1e-10)
 
     def test_sign_convention_deterministic(self):
