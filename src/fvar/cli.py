@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .basis import BasisSpec
 from .errors import ConfigError, DataError, NumericalError
-from .harness import SCENARIOS, run_concentration
+from .harness import SCENARIOS, Scenario, run_concentration
 from .moments import stability_sweep
 from .network import cidr_transform, extract_network, roc_and_auroc
 from .panel import CurvePanel, read_price_csv, write_csv
@@ -84,31 +84,30 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"unknown preset {args.preset!r}; "
                               f"choices: {sorted(SCENARIOS)}")
         sc = SCENARIOS[args.preset]
-        n, p = sc.n, sc.p
-        grid_size, basis_dim = sc.grid_size, sc.basis_dim
-        sigma_e, degree, bandwidth = sc.measurement_noise, sc.degree, sc.bandwidth
+    elif args.n is None or args.p is None:
+        raise ConfigError("give --preset or both --n and --p")
     else:
-        if args.n is None or args.p is None:
-            raise ConfigError("give --preset or both --n and --p")
-        n, p = args.n, args.p
-        grid_size, basis_dim = args.grid_size, args.basis_dim
-        sigma_e, degree, bandwidth = args.sigma_e, args.degree, args.bandwidth
+        sc = Scenario(n=args.n, p=args.p, grid_size=args.grid_size,
+                      basis_dim=args.basis_dim, measurement_noise=args.sigma_e,
+                      degree=args.degree, bandwidth=args.bandwidth)
+    if sc.grid_size < 2:
+        raise ConfigError(f"--grid-size must be >= 2; got {sc.grid_size}")
 
     if args.model == "sparse":
-        model = gen_block_sparse(p, G=basis_dim, per_row_degree=degree,
-                                 seed=args.seed, measurement_noise=sigma_e)
+        model = gen_block_sparse(sc.p, G=sc.basis_dim, per_row_degree=sc.degree,
+                                 seed=args.seed, measurement_noise=sc.measurement_noise)
     else:
-        model = gen_block_banded(p, G=basis_dim, bandwidth=bandwidth,
-                                 seed=args.seed, measurement_noise=sigma_e)
+        model = gen_block_banded(sc.p, G=sc.basis_dim, bandwidth=sc.bandwidth,
+                                 seed=args.seed, measurement_noise=sc.measurement_noise)
 
-    grid = np.linspace(0.0, 1.0, grid_size)
-    panel = simulate(model, n, grid=grid, burn_in=args.burn_in,
+    grid = np.linspace(0.0, 1.0, sc.grid_size)
+    panel = simulate(model, sc.n, grid=grid, burn_in=args.burn_in,
                      seed=args.seed, stream=1)
     panel.to_csv(out / "panel.csv")
     panel.to_npz(out / "panel.npz")
     (out / "model.json").write_text(model.to_json())
     _write_manifest(args, out)
-    print(f"wrote panel ({n} x {p} x {grid_size}) and model to {out}")
+    print(f"wrote panel ({sc.n} x {sc.p} x {sc.grid_size}) and model to {out}")
     return 0
 
 
@@ -120,7 +119,7 @@ def _stage1_inputs(args) -> dict:
     return {
         "panel": _load_panel(args.panel),
         "basis": BasisSpec(kind=args.basis, dimension=args.basis_dim),
-        "q_grid": [args.q] if args.q else _ints(args.q_grid),
+        "q_grid": [args.q] if args.q is not None else _ints(args.q_grid),
         "eta_grid": [args.eta] if args.eta is not None else _floats(args.eta_grid),
         "folds": args.folds, "seed": args.seed,
     }

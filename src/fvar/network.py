@@ -93,6 +93,10 @@ def extract_network(kernels: KernelEstimate, threshold: float | None = None,
     nodes = list(labels) if labels is not None else [f"x{j}" for j in range(p)]
     if len(nodes) != p:
         raise ConfigError("labels length does not match the variable count")
+    for i, label in enumerate(nodes):  # each must name one DOT node
+        if label in nodes[:i] or set(str(label)) & set('"\\\r\n'):
+            raise ConfigError(f"label {label!r} repeats or holds a quote, "
+                              "backslash or line break")
 
     if threshold is not None:
         if not threshold >= 0:

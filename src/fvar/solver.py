@@ -180,8 +180,8 @@ def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
 
 def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:
     """Blockwise (1 - tau/||Z_k||_F)_+ Z_k; a single block when offsets is None."""
-    if tau < 0:
-        raise ConfigError("threshold must be nonnegative")
+    if not tau >= 0:
+        raise ConfigError(f"threshold must be >= 0; got {tau!r}")
     Z = np.asarray(Z, dtype=float)
     if offsets is None:
         offsets = np.array([0, Z.shape[0]], dtype=np.int64)

@@ -6,10 +6,15 @@ A model of lag L over p functional variables stores G x G coefficient blocks
 B_jk^(h) in a fixed basis s, so the transition kernels are
 A_jk^(h)(u, v) = s(u)^T B_jk^(h) s(v) and the basis coefficients of the
 curves follow an ordinary VAR(L).
+
+The companion matrix of that VAR(L) (Lutkepohl 2005, section 2.1) is the one
+lag layout: the spectral radius, the simulation recursion and the companion
+model all read their lag matrices from ``VFARModel.companion_matrix``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -43,14 +48,18 @@ class VFARModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.L < 1 or self.p < 1:
+            raise ConfigError(f"L and p must be >= 1; got L={self.L}, p={self.p}")
         self.blocks = np.asarray(self.blocks, dtype=float)
         G = self.basis.dimension
         if self.blocks.shape != (self.L, self.p, self.p, G, G):
             raise ConfigError("blocks must have shape (L, p, p, G, G)")
-        if self.noise_scale <= 0:
-            raise ConfigError("noise_scale must be positive")
-        if self.measurement_noise < 0:
-            raise ConfigError("measurement_noise must be nonnegative")
+        if not 0 < self.noise_scale < np.inf:
+            raise ConfigError("noise_scale must be positive and finite; "
+                              f"got {self.noise_scale!r}")
+        if not 0 <= self.measurement_noise < np.inf:
+            raise ConfigError("measurement_noise must be nonnegative and finite; "
+                              f"got {self.measurement_noise!r}")
         if self.noise_vars is not None and not 1 <= self.noise_vars <= self.p:
             raise ConfigError("noise_vars must be in [1, p]")
 
@@ -58,19 +67,12 @@ class VFARModel:
     def G(self) -> int:
         return self.basis.dimension
 
-    def lag_matrices(self) -> np.ndarray:
-        """(L, pG, pG) stacked transition matrices of the coefficient VAR."""
-        L, p, G = self.L, self.p, self.G
-        return self.blocks.transpose(0, 1, 3, 2, 4).reshape(L, p * G, p * G)
-
     def companion_matrix(self) -> np.ndarray:
-        """The pLG x pLG transition matrix of the lag-1 embedding."""
-        lags = self.lag_matrices()
+        """The pLG x pLG transition matrix of the lag-1 embedding: the top
+        pG rows hold [A_1 ... A_L], an identity shifts the history down."""
         d = self.p * self.G
-        out = np.zeros((self.L * d, self.L * d))
-        out[:d] = np.concatenate(list(lags), axis=1)
-        for s in range(1, self.L):
-            out[s * d:(s + 1) * d, (s - 1) * d:s * d] = np.eye(d)
+        out = np.eye(self.L * d, k=-d)
+        out[:d] = self.blocks.transpose(1, 3, 0, 2, 4).reshape(d, self.L * d)
         return out
 
     def spectral_radius(self) -> float:
@@ -116,14 +118,29 @@ class VFARModel:
             "model")
 
 
-def _rescaled(blocks: np.ndarray, rng, p: int, G: int) -> tuple[np.ndarray, float]:
-    """Rescale the stacked lag-1 matrix to spectral radius iota ~ U[0.5, 1]."""
-    stacked = blocks.transpose(0, 1, 3, 2, 4).reshape(p * G, p * G)
-    rho = spectral_radius(stacked)
+def _entries(rng, p: int, G: int) -> np.ndarray:
+    """The (1, p, p, G, G) standard-normal draw both generators start from."""
+    if p < 1 or G < 1:
+        raise ConfigError(f"need p >= 1 and basis dimension G >= 1; got p={p}, G={G}")
+    return rng.standard_normal((1, p, p, G, G))
+
+
+def _random_model(kind: str, mask: np.ndarray, entries: np.ndarray, rng,
+                  basis: BasisSpec | None, noise_scale: float,
+                  measurement_noise: float, seed: int, **meta) -> VFARModel:
+    """Lag-1 model with blocks ``entries`` on the (p, p) ``mask``, rescaled to
+    spectral radius iota ~ U[0.5, 1] drawn from ``rng``."""
+    model = VFARModel(L=1, p=len(mask),
+                      basis=basis or BasisSpec("fourier", entries.shape[-1]),
+                      blocks=entries * mask[None, :, :, None, None],
+                      noise_scale=noise_scale, measurement_noise=measurement_noise)
+    rho = model.spectral_radius()
     if rho <= 0:
         raise ConfigError("generated transition matrix is identically zero")
     iota = float(rng.uniform(0.5, 1.0))
-    return blocks * (iota / rho), iota
+    model.blocks = model.blocks * (iota / rho)
+    model.meta = {"kind": kind, **meta, "iota": iota, "seed": seed}
+    return model
 
 
 def gen_block_sparse(p: int, G: int = 5, per_row_degree: int = 5, seed: int = 0,
@@ -135,17 +152,12 @@ def gen_block_sparse(p: int, G: int = 5, per_row_degree: int = 5, seed: int = 0,
     if not 1 <= per_row_degree <= p:
         raise ConfigError("per_row_degree must be in [1, p]")
     rng = rng_stream(seed)
-    entries = rng.standard_normal((1, p, p, G, G))
+    entries = _entries(rng, p, G)
     mask = np.zeros((p, p), dtype=bool)
     for j in range(p):
         mask[j, rng.choice(p, size=per_row_degree, replace=False)] = True
-    blocks = entries * mask[None, :, :, None, None]
-    blocks, iota = _rescaled(blocks, rng, p, G)
-    basis = basis or BasisSpec("fourier", G)
-    return VFARModel(L=1, p=p, basis=basis, blocks=blocks,
-                     noise_scale=noise_scale, measurement_noise=measurement_noise,
-                     meta={"kind": "block_sparse", "degree": per_row_degree,
-                           "iota": iota, "seed": seed})
+    return _random_model("block_sparse", mask, entries, rng, basis, noise_scale,
+                         measurement_noise, seed, degree=per_row_degree)
 
 
 def gen_block_banded(p: int, G: int = 5, bandwidth: int = 2, seed: int = 0,
@@ -155,16 +167,11 @@ def gen_block_banded(p: int, G: int = 5, bandwidth: int = 2, seed: int = 0,
     if bandwidth < 0:
         raise ConfigError("bandwidth must be nonnegative")
     rng = rng_stream(seed)
-    entries = rng.standard_normal((1, p, p, G, G))
+    entries = _entries(rng, p, G)
     j_idx, k_idx = np.indices((p, p))
     mask = np.abs(j_idx - k_idx) <= bandwidth
-    blocks = entries * mask[None, :, :, None, None]
-    blocks, iota = _rescaled(blocks, rng, p, G)
-    basis = basis or BasisSpec("fourier", G)
-    return VFARModel(L=1, p=p, basis=basis, blocks=blocks,
-                     noise_scale=noise_scale, measurement_noise=measurement_noise,
-                     meta={"kind": "block_banded", "bandwidth": bandwidth,
-                           "iota": iota, "seed": seed})
+    return _random_model("block_banded", mask, entries, rng, basis, noise_scale,
+                         measurement_noise, seed, bandwidth=bandwidth)
 
 
 def var_lag_path(coefs: np.ndarray, innov: np.ndarray) -> np.ndarray:
@@ -173,16 +180,13 @@ def var_lag_path(coefs: np.ndarray, innov: np.ndarray) -> np.ndarray:
     ``coefs`` has shape (L, d, d) and ``innov`` (nsteps, d); returns the
     (nsteps, d) path.
     """
-    nsteps, d = innov.shape
-    nlags = coefs.shape[0]
-    out = np.zeros((nsteps, d))
-    for t in range(nsteps):
-        acc = innov[t].copy()
-        for h in range(1, nlags + 1):
-            if t - h >= 0:
-                acc = acc + np.dot(coefs[h - 1], out[t - h])
-        out[t] = acc
-    return out
+    nlags, d = coefs.shape[:2]
+    oldest_first = np.ascontiguousarray(  # [A_L ... A_1]
+        coefs[::-1].transpose(1, 0, 2).reshape(d, nlags * d))
+    hist = np.zeros((nlags + len(innov), d))  # L rows of zero history first
+    for t in range(len(innov)):
+        hist[nlags + t] = oldest_first @ hist[t:t + nlags].ravel() + innov[t]
+    return hist[nlags:]
 
 
 def simulate_coefficients(model: VFARModel, n: int, burn_in: int = DEFAULT_BURN_IN,
@@ -193,6 +197,8 @@ def simulate_coefficients(model: VFARModel, n: int, burn_in: int = DEFAULT_BURN_
     step for the noise-carrying variables only, so a companion model and its
     original share innovation streams under paired seeds.
     """
+    if n < 1:
+        raise ConfigError(f"n must be >= 1; got {n}")
     if burn_in < 0:
         raise ConfigError("burn_in must be nonnegative")
     if not model.is_stationary():
@@ -203,7 +209,8 @@ def simulate_coefficients(model: VFARModel, n: int, burn_in: int = DEFAULT_BURN_
     rng = rng_stream(seed, stream)
     innov = np.zeros((steps, p * G))
     innov[:, : noise_p * G] = model.noise_scale * rng.standard_normal((steps, noise_p * G))
-    path = var_lag_path(model.lag_matrices(), innov)
+    lags = model.companion_matrix()[:p * G].reshape(p * G, model.L, p * G)
+    path = var_lag_path(lags.transpose(1, 0, 2), innov)
     return path[burn_in:].reshape(n, p, G)
 
 
@@ -222,8 +229,7 @@ def simulate(model: VFARModel, n: int, grid=None, burn_in: int = DEFAULT_BURN_IN
         # with coefficient-level simulation under the same (seed, stream)
         noise_rng = rng_stream(seed, stream + 2**32)
         values = values + model.measurement_noise * noise_rng.standard_normal(values.shape)
-    return CurvePanel(values=values, grid=grid,
-                      ids=list(ids) if ids else [f"x{j}" for j in range(model.p)])
+    return CurvePanel(values=values, grid=grid, ids=list(ids or ()))
 
 
 def companion_form(model: VFARModel) -> VFARModel:
@@ -233,21 +239,9 @@ def companion_form(model: VFARModel) -> VFARModel:
     down; only the first p variables receive innovations.
     """
     if model.L == 1:
-        return VFARModel(L=1, p=model.p, basis=model.basis, blocks=model.blocks,
-                         noise_scale=model.noise_scale,
-                         measurement_noise=model.measurement_noise,
-                         noise_vars=model.noise_vars, meta=dict(model.meta))
-    L, p, G = model.L, model.p, model.G
-    blocks = np.zeros((1, L * p, L * p, G, G))
-    for h in range(L):
-        blocks[0, :p, h * p:(h + 1) * p] = model.blocks[h]
-    eye = np.eye(G)
-    for s in range(1, L):
-        for j in range(p):
-            blocks[0, s * p + j, (s - 1) * p + j] = eye
-    meta = dict(model.meta)
-    meta["companion_of_lag"] = L
-    return VFARModel(L=1, p=L * p, basis=model.basis, blocks=blocks,
-                     noise_scale=model.noise_scale,
-                     measurement_noise=model.measurement_noise,
-                     noise_vars=p, meta=meta)
+        return dataclasses.replace(model, meta=dict(model.meta))
+    Lp, G = model.L * model.p, model.G
+    blocks = model.companion_matrix().reshape(Lp, G, Lp, G).transpose(0, 2, 1, 3)
+    return dataclasses.replace(model, L=1, p=Lp, blocks=blocks[None],
+                               noise_vars=model.p,
+                               meta={**model.meta, "companion_of_lag": model.L})

@@ -168,6 +168,26 @@ class TestSimulate:
     def test_missing_size_is_config_error(self, tmp_path):
         assert run("simulate", "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--n", -5, "--p", 3), "n must be >= 1; got -5"),
+        (("--n", 0, "--p", 3), "n must be >= 1; got 0"),
+        (("--n", 10, "--p", 0),
+         "need p >= 1 and basis dimension G >= 1; got p=0, G=5"),
+        (("--n", 10, "--p", -3), "got p=-3, G=5"),
+        (("--n", 10, "--p", 3, "--basis-dim", 0), "got p=3, G=0"),
+        (("--n", 10, "--p", 3, "--basis-dim", -2), "got p=3, G=-2"),
+        (("--n", 10, "--p", 3, "--grid-size", -1),
+         "--grid-size must be >= 2; got -1"),
+        (("--n", 10, "--p", 3, "--sigma-e", "nan"),
+         "measurement_noise must be nonnegative and finite; got nan"),
+        (("--n", 10, "--p", 3, "--sigma-e", "inf"),
+         "measurement_noise must be nonnegative and finite; got inf")])
+    def test_degenerate_size_is_config_error(self, tmp_path, capsys, flags,
+                                             message):
+        assert run("simulate", *flags, "--out", tmp_path) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "panel.npz").exists()
+
 
 @pytest.fixture(scope="module")
 def fit_dir(sim_dir, tmp_path_factory):
@@ -304,6 +324,15 @@ class TestFit:
         assert "variable 1 (x1) has zero variance" in err
 
 
+    @pytest.mark.parametrize("command", ["fit", "select", "path"])
+    def test_q_zero_is_config_error(self, sim_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run(command, "--panel", sim_dir / "panel.npz", "--basis-dim", 8,
+                   "--q", 0, "--eta", 0, "--out", out) == 2
+        assert "q must be in [1, min(G, n)]" in capsys.readouterr().err
+        assert not (out / "fpca_selection.csv").exists()
+
+
 class TestPathAndSelect:
     def test_path_with_truth_reports_roc(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "path"
@@ -422,6 +451,18 @@ class TestNetwork:
         assert len(graph["edges"]) == 3
         dot = (out / "graph.dot").read_text()
         assert dot.startswith("digraph")
+
+    @pytest.mark.parametrize("labels, bad", [
+        ('a"b,c,e', 'a"b'), ("a\\b,c,e", "a\\b"), ("a\nb,c,e", "a\nb"),
+        ("a\rb,c,e", "a\rb"), ("a,b,a", "a")])
+    def test_label_the_dot_file_cannot_name_is_config_error(
+            self, fit_dir, tmp_path, capsys, labels, bad):
+        out = tmp_path / "net"
+        assert run("network", "--kernels", fit_dir / "kernels.json",
+                   "--indegree", 1, "--labels", labels, "--out", out) == 2
+        assert (f"label {bad!r} repeats or holds a quote, backslash or line "
+                "break") in capsys.readouterr().err
+        assert not (out / "graph.dot").exists()
 
     def test_rule_required(self, fit_dir, tmp_path):
         assert run("network", "--kernels", fit_dir / "kernels.json",

@@ -166,6 +166,14 @@ class TestGroupSoftThreshold:
         with pytest.raises(ConfigError):
             group_soft_threshold(np.ones((2, 2)), -0.1)
 
+    def test_nan_tau_rejected(self):
+        with pytest.raises(ConfigError, match="threshold must be >= 0; got nan"):
+            group_soft_threshold(np.ones((2, 2)), float("nan"))
+
+    def test_infinite_tau_zeroes_every_block(self):
+        out = group_soft_threshold(np.ones((4, 2)), np.inf, np.array([0, 1, 4]))
+        np.testing.assert_array_equal(out, 0.0)
+
 
 class TestBlockFista:
     def setup_method(self):

@@ -1,10 +1,16 @@
 """Tests for model generators, simulation and the companion embedding."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fvar
 from fvar.basis import BasisSpec, evaluate_basis
-from fvar.errors import NonstationaryError
+from fvar.errors import ConfigError, NonstationaryError
 from fvar.moments import var1_stationary_cov
 from fvar.vfar import (VFARModel, companion_form, gen_block_banded,
                        gen_block_sparse, simulate, simulate_coefficients,
@@ -67,7 +73,7 @@ class TestSimulate:
                                  measurement_noise=0.0)
         n = 20000
         coeffs = simulate_coefficients(model, n, seed=7)
-        B = model.lag_matrices()[0]
+        B = model.companion_matrix()  # the lag-1 matrix itself
         S0 = var1_stationary_cov(B, np.eye(9))
         flat = coeffs.reshape(n, -1)
         est = flat[:-1].T @ flat[1:] / (n - 1)
@@ -85,6 +91,47 @@ class TestSimulate:
         a = simulate_coefficients(model, 20, seed=9, stream=0)
         b = simulate_coefficients(model, 20, seed=9, stream=1)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_nonpositive_length_rejected(self, n):
+        model = gen_block_banded(p=2, G=3, bandwidth=1, seed=8)
+        with pytest.raises(ConfigError, match=f"n must be >= 1; got {n}"):
+            simulate_coefficients(model, n)
+
+    @pytest.mark.parametrize("L, p", [(0, 2), (1, 0), (-1, 2)])
+    def test_empty_model_rejected(self, L, p):
+        with pytest.raises(ConfigError, match="L and p must be >= 1"):
+            VFARModel(L=L, p=p, basis=BasisSpec("fourier", 3),
+                      blocks=np.zeros((0, 0, 0, 3, 3)))
+
+    @pytest.mark.parametrize("noise_scale", [0.0, float("nan"), float("inf")])
+    def test_bad_noise_scale_rejected(self, noise_scale):
+        with pytest.raises(ConfigError, match="noise_scale must be positive "
+                           "and finite"):
+            gen_block_banded(p=2, G=3, seed=8, noise_scale=noise_scale)
+
+    def test_simulation_independent_of_blas_threads(self, tmp_path):
+        """One saved p=80 model simulated under 1 and 2 OpenBLAS threads
+        gives the same bytes; a generator's eigvals may differ, the
+        recursion must not."""
+        model = gen_block_banded(p=80, G=5, bandwidth=2, seed=1)
+        (tmp_path / "model.json").write_text(model.to_json())
+        script = ("import sys, numpy as np\n"
+                  "from fvar.vfar import VFARModel, simulate\n"
+                  "m = VFARModel.from_json(open(sys.argv[1]).read())\n"
+                  "np.save(sys.argv[2], simulate(m, 200, seed=1, stream=1).values)\n")
+        src = str(Path(fvar.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"values{threads}.npy")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", script,
+                            tmp_path / "model.json", outs[-1]],
+                           env=env, check=True, timeout=120)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_nonstationary_rejected(self):
         basis = BasisSpec("fourier", 2)
@@ -166,6 +213,16 @@ class TestCompanion:
             b, se_b = self.lagged_cov_with_se(stacked, h)
             se = np.sqrt(se_a**2 + se_b**2)
             assert np.all(np.abs(a - b) < 3.0 * se)
+
+    def test_companion_matrix_is_lag_row_over_shift(self):
+        rng = np.random.default_rng(24)
+        model = VFARModel(L=3, p=2, basis=BasisSpec("fourier", 2),
+                          blocks=rng.standard_normal((3, 2, 2, 2, 2)))
+        lags = [np.block([[model.blocks[h, j, k] for k in range(2)]
+                          for j in range(2)]) for h in range(3)]
+        eye, zero = np.eye(4), np.zeros((4, 4))
+        np.testing.assert_array_equal(model.companion_matrix(), np.block(
+            [lags, [eye, zero, zero], [zero, eye, zero]]))
 
     def test_companion_radius_tracks_stability(self):
         stable = self.vfar2_model()
