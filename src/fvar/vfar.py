@@ -181,8 +181,7 @@ def var_lag_path(coefs: np.ndarray, innov: np.ndarray) -> np.ndarray:
     (nsteps, d) path.
     """
     nlags, d = coefs.shape[:2]
-    oldest_first = np.ascontiguousarray(  # [A_L ... A_1]
-        coefs[::-1].transpose(1, 0, 2).reshape(d, nlags * d))
+    oldest_first = coefs[::-1].transpose(1, 0, 2).reshape(d, nlags * d)  # [A_L ... A_1]
     hist = np.zeros((nlags + len(innov), d))  # L rows of zero history first
     for t in range(len(innov)):
         hist[nlags + t] = oldest_first @ hist[t:t + nlags].ravel() + innov[t]
