@@ -77,19 +77,32 @@ def _load_model(path: str) -> VFARModel:
 
 # ---------------------------------------------------------------- simulate
 
+# the simulate flags a preset fixes, by the Scenario field each one sets
+_SCENARIO_FLAGS = {"n": "n", "p": "p", "grid_size": "grid_size",
+                   "basis_dim": "basis_dim", "sigma_e": "measurement_noise",
+                   "degree": "degree", "bandwidth": "bandwidth"}
+
+
 def cmd_simulate(args) -> int:
     out = _outdir(args)
+    given = {field: getattr(args, flag) for flag, field in _SCENARIO_FLAGS.items()
+             if getattr(args, flag) is not None}
     if args.preset:
         if args.preset not in SCENARIOS:
             raise ConfigError(f"unknown preset {args.preset!r}; "
                               f"choices: {sorted(SCENARIOS)}")
+        if given:
+            flags = [f"--{flag.replace('_', '-')}" for flag, field
+                     in _SCENARIO_FLAGS.items() if field in given]
+            raise ConfigError(f"preset {args.preset!r} fixes {', '.join(flags)}; "
+                              "give either the preset or the sizes")
         sc = SCENARIOS[args.preset]
     elif args.n is None or args.p is None:
         raise ConfigError("give --preset or both --n and --p")
     else:
-        sc = Scenario(n=args.n, p=args.p, grid_size=args.grid_size,
-                      basis_dim=args.basis_dim, measurement_noise=args.sigma_e,
-                      degree=args.degree, bandwidth=args.bandwidth)
+        sc = Scenario(**given)
+    for flag, field in _SCENARIO_FLAGS.items():  # the manifest records them
+        setattr(args, flag, getattr(sc, field))
     if sc.grid_size < 2:
         raise ConfigError(f"--grid-size must be >= 2; got {sc.grid_size}")
 
@@ -330,14 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub("simulate", help="draw a panel from a random model")
     sp.add_argument("--preset", type=str, default=None,
                     help=f"one of {sorted(SCENARIOS)}")
+    # the sizes default to None: the preset or the Scenario fills them in
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--model", choices=["sparse", "banded"], default="banded")
-    sp.add_argument("--degree", type=int, default=5)
-    sp.add_argument("--bandwidth", type=int, default=2)
-    sp.add_argument("--grid-size", type=int, default=50)
-    sp.add_argument("--basis-dim", type=int, default=5)
-    sp.add_argument("--sigma-e", type=float, default=0.5)
+    sp.add_argument("--degree", type=int, default=None)
+    sp.add_argument("--bandwidth", type=int, default=None)
+    sp.add_argument("--grid-size", type=int, default=None)
+    sp.add_argument("--basis-dim", type=int, default=None)
+    sp.add_argument("--sigma-e", type=float, default=None)
     sp.add_argument("--burn-in", type=int, default=500)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)

@@ -6,10 +6,12 @@ quadrature for Gram matrices, cyclic blockwise proximal coordinate descent for
 the group lasso, and a trace-based characteristic polynomial for spectral
 radii.  ``fista_loop``, ``fista_row``, ``path_rows``, ``fit_result_loop``,
 ``kkt_loop``, ``hs_norms_loop``, the FPCA refits, ``stability_loop``, ``stability_grid_tops``, ``simulate_scores_loop``,
-``replication_errors_loop`` and ``relative_error_loop`` are the package's
-earlier, slower formulations, kept as references its faster ones must match.
+``replication_errors_loop``, ``relative_error_loop`` and
+``write_panel_csv_reference`` are the package's earlier, slower
+formulations, kept as references its faster ones must match.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -576,3 +578,15 @@ def fpca_panel_loop(panel, basis, q_grid, eta_grid, folds=5, seed=0):
         kl_models.append(model)
         selections.append((model.q, eta))
     return kl_models, selections
+
+
+def write_panel_csv_reference(panel, path):
+    """CurvePanel.to_csv as one csv.writer row per cell."""
+    values = panel.values.tolist()  # Python floats write as exact reprs
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "variable", "grid_index", "value"])
+        for t in range(panel.n):
+            for j, name in enumerate(panel.ids):
+                writer.writerows([t, name, s, v]
+                                 for s, v in enumerate(values[t][j]))

@@ -161,6 +161,18 @@ class TestSimulate:
                    "--out", out) == 0
         panel = CurvePanel.from_npz(out / "panel.npz")
         assert panel.values.shape == (200, 20, 50)
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["n"], config["p"], config["grid_size"]) == (200, 20, 50)
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--n", 5, "--p", 3), "fixes --n, --p;"),
+        (("--grid-size", 10), "fixes --grid-size;"),
+        (("--sigma-e", 0.1, "--bandwidth", 1), "fixes --sigma-e, --bandwidth;")])
+    def test_size_flag_with_preset_is_config_error(self, tmp_path, capsys,
+                                                   flags, named):
+        assert run("simulate", "--preset", "desk", *flags, "--out", tmp_path) == 2
+        assert f"preset 'desk' {named}" in capsys.readouterr().err
+        assert not (tmp_path / "panel.npz").exists()
 
     def test_unknown_preset_is_config_error(self, tmp_path):
         assert run("simulate", "--preset", "nope", "--out", tmp_path) == 2
