@@ -38,6 +38,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _outdir(args) -> Path:
+    """--out, made just before a command's first write."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -59,20 +60,16 @@ def _write_manifest(args, out: Path) -> None:
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
+def _existing(path: str, what: str) -> Path:
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{what} file not found: {p}")
+    return p
+
+
 def _load_panel(path: str) -> CurvePanel:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"panel file not found: {p}")
-    if p.suffix == ".npz":
-        return CurvePanel.from_npz(p)
-    return CurvePanel.from_csv(p)
-
-
-def _load_model(path: str) -> VFARModel:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"model file not found: {p}")
-    return VFARModel.from_json(p.read_text())
+    p = _existing(path, "panel")
+    return CurvePanel.from_npz(p) if p.suffix == ".npz" else CurvePanel.from_csv(p)
 
 
 # ---------------------------------------------------------------- simulate
@@ -84,7 +81,6 @@ _SCENARIO_FLAGS = {"n": "n", "p": "p", "grid_size": "grid_size",
 
 
 def cmd_simulate(args) -> int:
-    out = _outdir(args)
     given = {field: getattr(args, flag) for flag, field in _SCENARIO_FLAGS.items()
              if getattr(args, flag) is not None}
     if args.preset:
@@ -116,6 +112,7 @@ def cmd_simulate(args) -> int:
     grid = np.linspace(0.0, 1.0, sc.grid_size)
     panel = simulate(model, sc.n, grid=grid, burn_in=args.burn_in,
                      seed=args.seed, stream=1)
+    out = _outdir(args)
     panel.to_csv(out / "panel.csv")
     panel.to_npz(out / "panel.npz")
     (out / "model.json").write_text(model.to_json())
@@ -156,11 +153,11 @@ def _fit(args, gamma):
     """The three-stage fit of fit and select, at a fixed gamma or, when
     gamma is None, at the one selected by ``--ic``; writes
     fpca_selection.csv and the ic_table.csv of the evaluated path points."""
-    out = _outdir(args)
     kernels, fits, stage1, ic_rows = fit_vfar(
         **_stage1_inputs(args), L=args.L, gamma=gamma, criterion=args.ic,
         n_gammas=args.n_gammas, min_ratio=args.min_gamma_ratio,
         tol=args.tol, max_iter=args.max_iter)
+    out = _outdir(args)
     _stage1_csv(out, stage1)
     if ic_rows:
         write_csv(out / "ic_table.csv",
@@ -184,11 +181,11 @@ def cmd_fit(args) -> int:
 
 def cmd_path(args) -> int:
     inputs = _stage1_inputs(args)
-    truth = _load_model(args.truth) if args.truth else None
+    truth = (VFARModel.from_json(_existing(args.truth, "model").read_text())
+             if args.truth else None)
     if truth is not None and truth.p != inputs["panel"].p:
         raise ConfigError(f"the panel has p={inputs['panel'].p} variables but "
                           f"the truth has p={truth.p}")
-    out = _outdir(args)
     stage1 = fpca_panel(**inputs)
     design = build_design(stage1.kl_models, args.L)
     paths, estimates = sweep_path(design, stage1.kl_models,
@@ -196,12 +193,10 @@ def cmd_path(args) -> int:
                                   min_ratio=args.min_gamma_ratio,
                                   tol=args.tol, max_iter=args.max_iter)
     _warn_unconverged([f for path in paths for f in path], args.max_iter)
-    records = [{
-        "index": i,
-        "gammas": [paths[j][i].gamma for j in range(design.p)],
-        "active_blocks": int(sum(int(f.active().sum()) for f in
-                                 (paths[j][i] for j in range(design.p)))),
-    } for i in range(len(estimates))]
+    out = _outdir(args)
+    records = [{"index": i, "gammas": [f.gamma for f in fits],
+                "active_blocks": int(sum(int(f.active().sum()) for f in fits))}
+               for i, fits in enumerate(zip(*paths))]
     (out / "path.json").write_text(json.dumps(records))
     _stage1_csv(out, stage1)
     if truth is not None:
@@ -226,15 +221,13 @@ def cmd_select(args) -> int:
 # ----------------------------------------------------------------- network
 
 def cmd_network(args) -> int:
-    out = _outdir(args)
-    path = Path(args.kernels)
-    if not path.exists():
-        raise ConfigError(f"kernel file not found: {path}")
-    kernels = KernelEstimate.from_json(path.read_text())
+    kernels = KernelEstimate.from_json(
+        _existing(args.kernels, "kernel").read_text())
     labels = args.labels.split(",") if args.labels else None
     graph = extract_network(kernels, threshold=args.threshold,
                             indegree=args.indegree,
                             include_self=not args.no_self, labels=labels)
+    out = _outdir(args)
     (out / "graph.dot").write_text(graph.to_dot())
     (out / "graph.json").write_text(graph.to_json())
     _write_manifest(args, out)
@@ -245,9 +238,9 @@ def cmd_network(args) -> int:
 # --------------------------------------------------------------- stability
 
 def cmd_stability(args) -> int:
-    out = _outdir(args)
     rows = stability_sweep(_floats(args.a_values), _floats(args.b_values),
                            sigma=args.sigma, theta_grid_size=args.theta_grid)
+    out = _outdir(args)
     write_csv(out / "stability.csv",
               ["a", "b", "operator_norm", "stability_measure"], rows)
     _write_manifest(args, out)
@@ -258,13 +251,12 @@ def cmd_stability(args) -> int:
 # ------------------------------------------------- concentration harness
 
 def cmd_verify_concentration(args) -> int:
-    out = _outdir(args)
     ns = _ints(args.ns)
     report = run_concentration(p=args.p, q0=args.q0, ns=ns, reps=args.reps,
                                seed=args.seed, ar=args.ar, alpha=args.alpha)
     result = {
         "ns": report.ns, "medians": report.medians, "slopes": report.slopes,
-        "stability": report.stability, "reps": report.reps,
+        "stability": report.stability, "reps": args.reps,
     }
     if args.compare_ar is not None:
         dep = run_concentration(p=args.p, q0=args.q0, ns=ns, reps=args.reps,
@@ -279,6 +271,7 @@ def cmd_verify_concentration(args) -> int:
                 for m in report.medians
             },
         }
+    out = _outdir(args)
     write_csv(out / "rates.csv",
               ["n", "sigma_max", "eigen_rel", "score_scaled"], report.rows())
     (out / "report.json").write_text(json.dumps(result, indent=2))
@@ -291,9 +284,9 @@ def cmd_verify_concentration(args) -> int:
 # ------------------------------------------------------------ CIDR ingest
 
 def cmd_ingest_cidr(args) -> int:
-    out = _outdir(args)
     prices, tickers, days = read_price_csv(args.prices)
     panel = cidr_transform(prices, ids=tickers, demean=not args.no_demean)
+    out = _outdir(args)
     panel.to_csv(out / "panel.csv")
     panel.to_npz(out / "panel.npz")
     (out / "days.json").write_text(json.dumps(days))

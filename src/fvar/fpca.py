@@ -104,7 +104,10 @@ class CVResult:
 @dataclass
 class PanelFPCA:
     kl_models: list
-    selections: list  # per variable (q, eta)
+
+    @property
+    def selections(self) -> list:  # per variable (q, eta)
+        return [(m.q, m.smoothing) for m in self.kl_models]
 
 
 def project_to_basis(curves: np.ndarray, grid: np.ndarray, basis: BasisSpec) -> np.ndarray:
@@ -349,8 +352,7 @@ def fpca_panel(panel, basis: BasisSpec, q_grid, eta_grid,
     for m in _fit_models(D, basis, grams.J, whitenings, eta_grid, q, e):
         keep = int(np.sum(m.eigenvalues >= EIGEN_FLOOR * m.eigenvalues[0]))
         models.extend(truncate_models([m], keep) if keep < m.q else [m])
-    return PanelFPCA(kl_models=models,
-                     selections=[(m.q, m.smoothing) for m in models])
+    return PanelFPCA(kl_models=models)
 
 
 def truncate_models(kl_models, q: int) -> list:

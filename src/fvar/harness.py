@@ -45,11 +45,6 @@ class ConcentrationReport:
     medians: dict          # metric name -> list of medians, one per n
     slopes: dict           # metric name -> fitted log-log slope
     stability: float
-    reps: int
-    p: int
-    q0: int
-    alpha: float
-    ar: float
 
     def rows(self):
         for i, n in enumerate(self.ns):
@@ -167,8 +162,7 @@ def run_concentration(p: int = 5, q0: int = 3, ns=(250, 500, 1000, 2000, 4000),
         slopes[name] = float(coef[0])
     stability = (1.0 + ar) / (1.0 - ar)
     return ConcentrationReport(ns=list(ns), medians=medians, slopes=slopes,
-                               stability=stability, reps=reps, p=p, q0=q0,
-                               alpha=alpha, ar=ar)
+                               stability=stability)
 
 
 @dataclass

@@ -38,7 +38,6 @@ from .errors import ConfigError, DataError, NonstationaryError, NumericalError
 class StabilityReport:
     value: float
     argmax_theta: float
-    theta_grid_size: int
     lambda0: float
     theta_evaluations: int  # grid points at which the density was evaluated
 
@@ -48,12 +47,17 @@ def spectral_radius_matrix(mat: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(mat, dtype=float)))))
 
 
-def var1_stationary_cov(C: np.ndarray, noise_cov: np.ndarray,
-                        tol: float = 1e-12, max_doublings: int = 200) -> np.ndarray:
+_DOUBLING_TOL = 1e-12
+_MAX_DOUBLINGS = 200
+
+
+def var1_stationary_cov(C: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
     """Stationary covariance of x_t = C x_{t-1} + e_t by doubling iteration.
 
     Solves S = C S C^T + noise_cov, i.e. S = sum_{h>=0} C^h N (C^h)^T, by
-    repeated squaring: S <- S + A S A^T with A <- A A.
+    repeated squaring: S <- S + A S A^T with A <- A A, until an update is
+    at most ``_DOUBLING_TOL`` of S in Frobenius norm; ``NumericalError``
+    after ``_MAX_DOUBLINGS`` updates.
     """
     C = np.asarray(C, dtype=float)
     N = np.asarray(noise_cov, dtype=float)
@@ -61,13 +65,13 @@ def var1_stationary_cov(C: np.ndarray, noise_cov: np.ndarray,
         raise NonstationaryError("spectral radius >= 1; no stationary solution")
     S = N.copy()
     A = C.copy()
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         update = A @ S @ A.T
-        S_new = S + update
+        S = S + update
         A = A @ A
-        if np.linalg.norm(update, "fro") <= tol * max(np.linalg.norm(S_new, "fro"), 1e-300):
-            return 0.5 * (S_new + S_new.T)
-        S = S_new
+        if (np.linalg.norm(update, "fro")
+                <= _DOUBLING_TOL * max(np.linalg.norm(S, "fro"), 1e-300)):
+            return 0.5 * (S + S.T)
     raise NumericalError("Lyapunov doubling iteration did not converge")
 
 
@@ -284,10 +288,9 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
     evaluate(np.flatnonzero(np.repeat(high, ends - starts)))
 
     best = int(np.argmax(tops))
-    lambda0 = float(np.max(np.diag(S0)[idx]))
     return StabilityReport(value=float(tops[best]),
                            argmax_theta=-abs(float(thetas[best])),
-                           theta_grid_size=theta_grid_size, lambda0=lambda0,
+                           lambda0=float(np.max(np.diag(S0)[idx])),
                            theta_evaluations=int(done.sum()))
 
 

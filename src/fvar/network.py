@@ -83,7 +83,8 @@ def extract_network(kernels: KernelEstimate, threshold: float | None = None,
 
     Edge weights aggregate lags by the maximum Hilbert-Schmidt norm.  Under
     the indegree rule ties go to the smaller source index; self-loops are
-    candidates unless ``include_self`` is False.
+    candidates unless ``include_self`` is False, and each target gets
+    exactly ``indegree`` sources: at most p, or p-1 without self-loops.
     """
     if (threshold is None) == (indegree is None):
         raise ConfigError("give exactly one of threshold or indegree")
@@ -104,8 +105,12 @@ def extract_network(kernels: KernelEstimate, threshold: float | None = None,
         sources = [[k for k in range(p) if weights[j, k] > threshold]
                    for j in range(p)]
     else:
-        if not 1 <= indegree <= p:
-            raise ConfigError("indegree must be in [1, p]")
+        name, top = ("p", p) if include_self else ("p-1", p - 1)
+        if not 1 <= indegree <= top:
+            raise ConfigError(f"indegree must be in [1, {name}] = [1, {top}]"
+                              + ("" if include_self else
+                                 " when self-loops are excluded")
+                              + f"; got {indegree}")
         sources = [sorted((k for k in range(p) if include_self or k != j),
                           key=lambda k: (-weights[j, k], k))[:indegree]
                    for j in range(p)]

@@ -36,6 +36,8 @@ warm-started gamma grids together, one batched solve and one set of
 whole-array summary products per grid index.  ``fit_row`` is its one-row,
 one-point call.  Fixed-gamma ``pipeline.fit_rows`` still calls ``fit_row``
 once per row, because the benchmark counts fits by wrapping ``fit_row``.
+A fit keeps only the original-scale blocks Psi = D^{-1} X, from which
+``standardized_coeffs`` recovers X for the KKT check.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ STALL_RTOL = 1e-12
 
 @dataclass
 class DesignSet:
-    """Responses, the standardized lagged design and precomputed Gram data."""
+    """Responses and the standardized lagged design; ``gram`` and
+    ``step_size`` are derived from ``design`` on first use."""
 
     n: int
     L: int
@@ -68,8 +71,6 @@ class DesignSet:
     unstandardize: np.ndarray  # (r, r) block diagonal of the D^{-1}
     design: np.ndarray         # (n-L, r) standardized stacked predictors
     offsets: np.ndarray        # (p*L + 1,) block row offsets
-    gram: np.ndarray           # design^T design
-    _step: float | None = field(default=None, repr=False)
 
     @property
     def p(self) -> int:
@@ -80,33 +81,33 @@ class DesignSet:
         return self.n - self.L
 
     @property
-    def r(self) -> int:
-        return self.design.shape[1]
-
-    @property
     def n_blocks(self) -> int:
         return self.offsets.size - 1
 
     def block_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.design.T @ self.design
+
+    @cached_property
     def step_size(self) -> float:
         """0.9 / lambda_max(design^T design)."""
-        if self._step is None:
-            self._step = 0.9 / np.linalg.eigvalsh(self.gram)[-1]
-        return self._step
+        return 0.9 / np.linalg.eigvalsh(self.gram)[-1]
 
 
 @dataclass
 class FitResult:
-    """One penalized row fit: coefficient blocks and selection summaries."""
+    """One penalized row fit: original-scale coefficient blocks and
+    selection summaries.  ``aic`` and ``bic`` are N log(max(RSS, IC_FLOOR))
+    + kappa df, with N = (n - L) q_j and kappa = 2 or log n."""
 
     j: int
     gamma: float
     psi_stacked: np.ndarray    # (r, q_j) un-standardized blocks
     offsets: np.ndarray        # block row offsets into psi_stacked
     p: int
-    coeffs_std: np.ndarray     # (r, q_j) standardized solution
     iterations: int
     converged: bool
     rss: float
@@ -175,7 +176,7 @@ def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
     return DesignSet(n=n, L=L, responses=[s[L:] for s in scores],
                      unstandardize=scipy.linalg.block_diag(*roots_inv),
-                     design=design, offsets=offsets, gram=design.T @ design)
+                     design=design, offsets=offsets)
 
 
 def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:
@@ -415,14 +416,6 @@ def df_from_contributions(vpsi_sq: np.ndarray, group_sizes: np.ndarray,
     return df
 
 
-def information_criterion(design: DesignSet, fit: "FitResult",
-                          kappa: float) -> float:
-    """N log(RSS) + kappa * df with N = (n - L) * q_j the scalar observation
-    count of the row regression and the RSS floored away from zero."""
-    n_obs = design.n_eff * design.responses[fit.j].shape[1]
-    return n_obs * np.log(max(fit.rss, IC_FLOOR)) + kappa * fit.df
-
-
 def check_solve_options(tol: float | None = None, max_iter: int | None = None,
                         n_gammas: int | None = None,
                         min_ratio: float | None = None) -> None:
@@ -515,7 +508,7 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
     x0 = None
     for gammas in grids.T:
         info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
-                                gammas, design.step_size(), tol, max_iter, x0,
+                                gammas, design.step_size, tol, max_iter, x0,
                                 col_offsets=col_offsets, row_ids=rows)
         x0 = info.x
         # one product each gives every row's blocks and residuals; the
@@ -526,23 +519,21 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
         sq = resid * resid
         for b, (row, lo, hi) in enumerate(zip(rows, col_offsets,
                                               col_offsets[1:])):
-            # copies, so that a fit kept alone does not keep its index's
-            # whole arrays alive
-            X = x0[:, lo:hi].copy()
-            vpsi_sq = design.n_eff * block_sq_norms(X, design.offsets[:-1])
-            fit = FitResult(
+            vpsi_sq = design.n_eff * block_sq_norms(x0[:, lo:hi],
+                                                    design.offsets[:-1])
+            rss = float(np.sum(sq[:, lo:hi]))
+            df = df_from_contributions(
+                vpsi_sq, design.block_sizes() * (hi - lo), gammas[b])
+            n_log_rss = design.n_eff * (hi - lo) * np.log(max(rss, IC_FLOOR))
+            # a copy, so that a fit kept alone does not keep its index's
+            # whole array alive
+            paths[b].append(FitResult(
                 j=row, gamma=float(gammas[b]),
-                psi_stacked=psi[:, lo:hi].copy(),
-                offsets=design.offsets, p=design.p, coeffs_std=X,
-                iterations=int(info.row_iterations[b]),
-                converged=bool(info.row_converged[b]),
-                rss=float(np.sum(sq[:, lo:hi])), vpsi_sq=vpsi_sq,
-                df=df_from_contributions(
-                    vpsi_sq, design.block_sizes() * (hi - lo), gammas[b]),
-                aic=0.0, bic=0.0)
-            fit.aic = information_criterion(design, fit, 2.0)
-            fit.bic = information_criterion(design, fit, np.log(design.n))
-            paths[b].append(fit)
+                psi_stacked=psi[:, lo:hi].copy(), offsets=design.offsets,
+                p=design.p, iterations=int(info.row_iterations[b]),
+                converged=bool(info.row_converged[b]), rss=rss,
+                vpsi_sq=vpsi_sq, df=df, aic=n_log_rss + 2.0 * df,
+                bic=n_log_rss + np.log(design.n) * df))
     return paths[0] if one else paths
 
 
@@ -552,13 +543,24 @@ def best_fit(path: list, criterion: str = "bic") -> FitResult:
     return path[int(np.argmin([getattr(f, criterion) for f in path]))]
 
 
+def standardized_coeffs(design: DesignSet, fit: FitResult) -> np.ndarray:
+    """The standardized solution X = D Psi of a row fit: block k solves
+    against the diagonal block D_k^{-1} of ``design.unstandardize``, so a
+    zero block stays exactly zero."""
+    o = design.offsets
+    return np.concatenate([
+        np.linalg.solve(design.unstandardize[a:b, a:b], fit.psi_stacked[a:b])
+        for a, b in zip(o[:-1], o[1:])])
+
+
 def kkt_residuals(design: DesignSet, fit: FitResult) -> tuple[float, float]:
-    """Optimality certificate in standardized coordinates.
+    """Optimality certificate in standardized coordinates, at the X that
+    ``standardized_coeffs`` recovers from the fit's blocks.
 
     Returns (worst zero-block excess ||grad_k|| - gamma, worst active-block
     stationarity norm ||grad_k + gamma X_k / ||X_k|| ||).
     """
-    X = fit.coeffs_std
+    X = standardized_coeffs(design, fit)
     starts = design.offsets[:-1]
     x_norm = np.sqrt(block_sq_norms(X, starts))
     active = x_norm > 0.0

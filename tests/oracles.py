@@ -282,7 +282,7 @@ def path_rows(design, grids, tol=1e-8, max_iter=10000, warm_starts=None):
     j's descending gamma grid.  Point i starts from ``warm_starts[j][i]``
     when given, else from row j's own point i-1 (zeros at i = 0).  Returns
     ``paths[j][i] = (x, iterations, converged)``."""
-    step = design.step_size()
+    step = design.step_size
     paths = []
     for j, grid in enumerate(grids):
         Y = design.responses[j]
@@ -303,25 +303,30 @@ def path_rows(design, grids, tol=1e-8, max_iter=10000, warm_starts=None):
 def fit_result_loop(design, j, gamma, X, iterations, converged):
     """Row j's solution X with its selection summaries, one row at a time:
     the package's per-row summary before a path index's rows were summarized
-    together."""
-    from fvar.solver import (FitResult, df_from_contributions,
-                             information_criterion)
+    together.  The effective degrees of freedom count each selected block
+    as one plus the shrinkage fraction ||V Psi||^2 / (||V Psi||^2 + gamma)
+    of its other q_j q_k - 1 parameters; the criteria are
+    N log(max(RSS, 1e-300)) + kappa df with N = (n - L) q_j and kappa = 2
+    (AIC) or log n (BIC)."""
+    from fvar.solver import FitResult
 
     Y = design.responses[j]
     resid = Y - design.design @ X
+    rss = float(np.sum(resid * resid))
     vpsi_sq = design.n_eff * np.add.reduceat(np.einsum("ij,ij->i", X, X),
                                              design.offsets[:-1])
-    fit = FitResult(j=j, gamma=gamma, psi_stacked=design.unstandardize @ X,
-                    offsets=design.offsets, p=design.p, coeffs_std=X,
-                    iterations=iterations, converged=converged,
-                    rss=float(np.sum(resid * resid)),
-                    vpsi_sq=vpsi_sq,
-                    df=df_from_contributions(
-                        vpsi_sq, design.block_sizes() * Y.shape[1], gamma),
-                    aic=0.0, bic=0.0)
-    fit.aic = information_criterion(design, fit, 2.0)
-    fit.bic = information_criterion(design, fit, np.log(design.n))
-    return fit
+    active = vpsi_sq > 0
+    sizes = (design.block_sizes() * Y.shape[1]).astype(float)
+    with np.errstate(invalid="ignore"):
+        shrink = np.where(active, vpsi_sq / (vpsi_sq + gamma), 0.0)
+    df = float(active.sum()) + float(np.sum((sizes - 1.0) * shrink))
+    n_obs = design.n_eff * Y.shape[1]
+    return FitResult(
+        j=j, gamma=gamma, psi_stacked=design.unstandardize @ X,
+        offsets=design.offsets, p=design.p, iterations=iterations,
+        converged=converged, rss=rss, vpsi_sq=vpsi_sq, df=df,
+        aic=n_obs * np.log(max(rss, 1e-300)) + 2.0 * df,
+        bic=n_obs * np.log(max(rss, 1e-300)) + np.log(design.n) * df)
 
 
 def kkt_loop(gram, hmat, X, offsets, gamma):

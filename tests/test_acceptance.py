@@ -77,7 +77,7 @@ def test_c01_solver_matches_coordinate_descent_oracle():
     ynn = float(np.sum(Y * Y))
     # warm the JIT outside the timed region; the budget is algorithmic
     block_fista_gram(design.gram, hmat, ynn, design.offsets, 1.0,
-                     design.step_size(), 1e-8, 50)
+                     design.step_size, 1e-8, 50)
 
     top = gamma_max(design, 0)
     gammas = np.geomspace(top, 1e-3 * top, 10)
@@ -85,7 +85,7 @@ def test_c01_solver_matches_coordinate_descent_oracle():
     worst = 0.0
     for gamma in gammas:
         info = block_fista_gram(design.gram, hmat, ynn, design.offsets,
-                                float(gamma), design.step_size(),
+                                float(gamma), design.step_size,
                                 tol=1e-13, max_iter=200000)
         f_fista = group_objective(Y, B, info.x, design.offsets, gamma)
         _, f_cd = block_coordinate_descent(Y, B, design.offsets, float(gamma),

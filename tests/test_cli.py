@@ -602,6 +602,25 @@ class TestIngestCidr:
         assert "line 3" in err and f"price {price}" in err
 
 
+class TestOutDir:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "nope"],
+        ["fit", "--panel", "{panel}", "--basis-dim", 8, "--q", 3, "--eta", 0,
+         "--L", 0],
+        ["network", "--kernels", "{kernels}", "--indegree", 0],
+        ["network", "--kernels", "{kernels}", "--threshold", -1],
+        ["network", "--kernels", "{kernels}", "--indegree", 3, "--no-self"],
+        ["stability", "--sigma", 0]], ids=lambda argv: " ".join(
+            str(a) for a in argv if not str(a).startswith("{")))
+    def test_rejected_input_makes_no_out_dir(self, sim_dir, fit_dir, tmp_path,
+                                             argv):
+        paths = {"{panel}": sim_dir / "panel.npz",
+                 "{kernels}": fit_dir / "kernels.json"}
+        out = tmp_path / "out"
+        assert run(*(paths.get(a, a) for a in argv), "--out", out) == 2
+        assert not out.exists()
+
+
 class TestFlags:
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--threads"), ("network", "--threads"),

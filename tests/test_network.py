@@ -64,6 +64,16 @@ class TestExtractNetwork:
         graph = extract_network(est, indegree=1, include_self=False)
         assert all(e.source != e.target for e in graph.edges)
 
+    def test_indegree_p_without_self_loops_rejected(self):
+        est = kernels_from_weights(np.ones((3, 3)))
+        with pytest.raises(ConfigError, match=r"indegree must be in "
+                           r"\[1, p-1\] = \[1, 2\] when self-loops are "
+                           r"excluded; got 3"):
+            extract_network(est, indegree=3, include_self=False)
+        graph = extract_network(est, indegree=2, include_self=False)
+        np.testing.assert_array_equal(graph.indegrees(), [2, 2, 2])
+        assert all(e.source != e.target for e in graph.edges)
+
     def test_threshold_zero_matches_solver_support(self):
         design, _ = oracle_design(p=3, q=2, n=60, seed=31)
         fits = [fit_row(j, design, 0.45 * gamma_max(design, j))

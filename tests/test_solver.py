@@ -1,5 +1,6 @@
 """Tests for the design assembly, block FISTA solver, selection and recovery."""
 
+import dataclasses
 import json
 import re
 
@@ -13,8 +14,8 @@ from fvar.pipeline import fit_rows, sweep_path
 from fvar.solver import (KernelEstimate, best_fit, block_fista_gram,
                          build_design, default_gamma_grid,
                          df_from_contributions, fit_row, gamma_max,
-                         group_soft_threshold, information_criterion,
-                         kkt_residuals, recover_kernels, regularization_path)
+                         group_soft_threshold, kkt_residuals, recover_kernels,
+                         regularization_path, standardized_coeffs)
 from fvar.vfar import gen_block_banded, simulate_coefficients
 
 from helpers import (kl_from_scores, lagged_scores, oracle_design,
@@ -36,7 +37,8 @@ def fista_from_data(Y, B, gamma, offsets, step=None, **kwargs):
 def fit_objective(design, fit):
     """The group-lasso objective of a row fit at its own gamma."""
     return group_objective(design.responses[fit.j], design.design,
-                           fit.coeffs_std, design.offsets, fit.gamma)
+                           standardized_coeffs(design, fit), design.offsets,
+                           fit.gamma)
 
 
 def mixed_block_models(sizes=(1, 3, 2, 1), n=90, seed=21):
@@ -262,7 +264,8 @@ class TestMixedBlocks:
         Y, B = design.responses[j], design.design
         _, f_cd = block_coordinate_descent(Y, B, design.offsets, gamma,
                                            tol=1e-12)
-        f_fista = group_objective(Y, B, fit.coeffs_std, design.offsets, gamma)
+        f_fista = group_objective(Y, B, standardized_coeffs(design, fit),
+                                  design.offsets, gamma)
         assert abs(f_fista - f_cd) <= 1e-6 * abs(f_cd)
         zero_excess, active_res = kkt_residuals(design, fit)
         assert zero_excess <= 1e-4 * (1 + gamma)
@@ -274,7 +277,12 @@ class TestMixedBlocks:
         design = build_design(kl, 2)
         raw = lagged_scores(kl, 2)
         j = 1
-        fit = fit_row(j, design, 0.2 * gamma_max(design, j))
+        gamma = 0.2 * gamma_max(design, j)
+        fit = fit_row(j, design, gamma)
+        Y = design.responses[j]
+        X = block_fista_gram(design.gram, design.design.T @ Y,
+                             float(np.sum(Y * Y)), design.offsets, gamma,
+                             design.step_size).x
         assert len(fit.psi) == design.L and len(fit.psi[0]) == design.p
         for h in range(design.L):
             for k in range(design.p):
@@ -286,7 +294,7 @@ class TestMixedBlocks:
                              design.offsets[h * design.p + k + 1])
                 np.testing.assert_allclose(
                     raw[:, rows] @ block,
-                    design.design[:, rows] @ fit.coeffs_std[rows],
+                    design.design[:, rows] @ X[rows],
                     rtol=1e-10, atol=1e-12)
         with pytest.raises(IndexError):
             fit.psi[design.L]
@@ -373,7 +381,8 @@ class TestBlockNorms:
         # a loose tolerance leaves residuals well above rounding
         fit = fit_row(j, design, ratio * gamma_max(design, j), tol=1e-3)
         want = kkt_loop(design.gram, design.design.T @ design.responses[j],
-                        fit.coeffs_std, design.offsets, fit.gamma)
+                        standardized_coeffs(design, fit), design.offsets,
+                        fit.gamma)
         np.testing.assert_allclose(kkt_residuals(design, fit), want,
                                    rtol=1e-10, atol=1e-13)
 
@@ -408,14 +417,14 @@ def assert_rows_match_oracle(design, info, gammas, col_offsets, max_iter=10000,
     hmat, ynorm_sq, _ = stacked_rows(design)
     k_max = int(info.row_iterations.max())
     objectives = prefix_objectives(design.gram, hmat, ynorm_sq, design.offsets,
-                                   gammas, design.step_size(), 1e-8, k_max, x0,
+                                   gammas, design.step_size, 1e-8, k_max, x0,
                                    col_offsets)
     off = 0
     for b, (lo, hi) in enumerate(zip(col_offsets, col_offsets[1:])):
         start = None if x0 is None else x0[:, lo:hi]
         x, trace, iterations, converged = fista_row(
             design.gram, hmat[:, lo:hi], ynorm_sq[b], design.offsets,
-            gammas[b], design.step_size(), 1e-8, max_iter, start)
+            gammas[b], design.step_size, 1e-8, max_iter, start)
         assert info.row_converged[b] == converged
         assert objectives[0, b] == pytest.approx(trace[0], rel=1e-12)
         assert abs(int(info.row_iterations[b]) - iterations) <= 2
@@ -444,7 +453,7 @@ class TestBatchedSolve:
         ratios = np.resize([1.5, 0.0, 0.6, 0.05, 0.3, 0.9], design.p)
         gammas = ratios * np.array([gamma_max(design, j) for j in range(design.p)])
         info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
-                                gammas, design.step_size(),
+                                gammas, design.step_size,
                                 col_offsets=col_offsets)
         assert info.converged
         np.testing.assert_array_equal(info.x[:, :col_offsets[1]], 0.0)
@@ -455,10 +464,10 @@ class TestBatchedSolve:
         hmat, ynorm_sq, col_offsets = stacked_rows(design)
         tops = np.array([gamma_max(design, j) for j in range(design.p)])
         x0 = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
-                              0.4 * tops, design.step_size(),
+                              0.4 * tops, design.step_size,
                               col_offsets=col_offsets).x
         info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
-                                0.3 * tops, design.step_size(), x0=x0,
+                                0.3 * tops, design.step_size, x0=x0,
                                 col_offsets=col_offsets)
         assert_rows_match_oracle(design, info, 0.3 * tops, col_offsets, x0=x0)
 
@@ -468,13 +477,13 @@ class TestBatchedSolve:
         tops = np.array([gamma_max(design, j) for j in range(design.p)])
         gammas = np.array([0.0, 0.5, 2.0, 0.8]) * tops
         full = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
-                                gammas, design.step_size(),
+                                gammas, design.step_size,
                                 col_offsets=col_offsets)
         slow = int(np.argmax(full.row_iterations))
         cap = int(np.sort(full.row_iterations)[-2]) + 1
         assert cap < full.row_iterations[slow]
         info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
-                                gammas, design.step_size(), max_iter=cap,
+                                gammas, design.step_size, max_iter=cap,
                                 col_offsets=col_offsets)
         assert info.row_iterations[slow] == cap
         assert list(info.row_converged) == [b != slow for b in range(design.p)]
@@ -485,7 +494,7 @@ class TestBatchedSolve:
         design = mixed_block_design()
         Y = design.responses[1]
         args = (design.gram, design.design.T @ Y, float(np.sum(Y * Y)),
-                design.offsets, 0.2 * gamma_max(design, 1), design.step_size())
+                design.offsets, 0.2 * gamma_max(design, 1), design.step_size)
         one = block_fista_gram(*args)
         batch = block_fista_gram(*args, col_offsets=[0, Y.shape[1]])
         np.testing.assert_array_equal(one.x, batch.x)
@@ -521,7 +530,7 @@ class TestBatchedSolve:
         hmat, ynorm_sq, col_offsets = stacked_rows(design)
         tops = np.array([gamma_max(design, j) for j in range(design.p)])
         args = (design.gram, hmat, ynorm_sq, design.offsets,
-                np.array(ratios) * tops, design.step_size(), 0.0)
+                np.array(ratios) * tops, design.step_size, 0.0)
         info = block_fista_gram(*args, max_iter=20000, col_offsets=col_offsets)
         assert info.row_converged.all()
         assert info.row_iterations.max() < 20000
@@ -545,7 +554,7 @@ class TestBatchedSolve:
         x0[0, col_offsets[2]] = np.nan
         with pytest.raises(NumericalError, match="row 2: objective is not finite"):
             block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets, 1.0,
-                             design.step_size(), x0=x0, col_offsets=col_offsets)
+                             design.step_size, x0=x0, col_offsets=col_offsets)
 
     @pytest.mark.parametrize("col_offsets", [[0, 3], [0, 0, 7], [0, 5, 3, 7]])
     def test_bad_column_offsets_rejected(self, col_offsets):
@@ -553,7 +562,7 @@ class TestBatchedSolve:
         hmat, ynorm_sq, _ = stacked_rows(design)
         with pytest.raises(ConfigError, match="column offsets"):
             block_fista_gram(design.gram, hmat, 1.0, design.offsets, 1.0,
-                             design.step_size(), col_offsets=col_offsets)
+                             design.step_size, col_offsets=col_offsets)
 
     @pytest.mark.parametrize("kwargs, name", [
         (dict(max_iter=-3), "max_iter"), (dict(tol=np.nan), "tol")])
@@ -562,7 +571,7 @@ class TestBatchedSolve:
         hmat, ynorm_sq, col_offsets = stacked_rows(design)
         with pytest.raises(ConfigError, match=name):
             block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets, 1.0,
-                             design.step_size(), col_offsets=col_offsets,
+                             design.step_size, col_offsets=col_offsets,
                              **kwargs)
 
     def test_negative_gamma_in_batch_rejected(self):
@@ -570,13 +579,13 @@ class TestBatchedSolve:
         hmat, ynorm_sq, col_offsets = stacked_rows(design)
         with pytest.raises(ConfigError, match="gamma"):
             block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
-                             [1.0, -1.0, 1.0, 1.0], design.step_size(),
+                             [1.0, -1.0, 1.0, 1.0], design.step_size,
                              col_offsets=col_offsets)
 
     @pytest.mark.parametrize("gamma", [np.inf, np.nan])
     @pytest.mark.parametrize("call", [
         lambda d, g: block_fista_gram(d.gram, d.design.T @ d.responses[0], 1.0,
-                                      d.offsets, [1.0, g], d.step_size(),
+                                      d.offsets, [1.0, g], d.step_size,
                                       col_offsets=[0, 1, 2]),
         lambda d, g: fit_row(0, d, g),
         lambda d, g: regularization_path(d, [0, 1], gamma_grid=[g]),
@@ -634,18 +643,22 @@ class TestFitRowAndSelection:
     def test_ic_monotone_in_df(self):
         design, _ = oracle_design()
         fit = fit_row(0, design, 0.1 * gamma_max(design, 0))
+        assert fit.df > 0
         n_obs = design.n_eff * design.responses[0].shape[1]
-        base = information_criterion(design, fit, 0.0)
-        assert base == pytest.approx(n_obs * np.log(fit.rss))
-        fit.df += 5.0
-        assert information_criterion(design, fit, 2.0) > base
+        base = n_obs * np.log(fit.rss)
+        assert fit.aic - base == pytest.approx(2.0 * fit.df)
+        assert fit.bic - base == pytest.approx(np.log(design.n) * fit.df)
+        assert base < fit.aic < fit.bic
 
     def test_ic_floor_guards_perfect_fit(self):
         design, _ = oracle_design(n=20)
-        fit = fit_row(0, design, 0.0, tol=1e-14, max_iter=100000)
-        fit.rss = 0.0
-        val = information_criterion(design, fit, 2.0)
-        assert np.isfinite(val)
+        # zero responses are fitted exactly by the zero solution
+        design = dataclasses.replace(
+            design, responses=[np.zeros_like(Y) for Y in design.responses])
+        fit = fit_row(0, design, 0.0)
+        assert fit.rss == 0.0 and fit.df == 0.0
+        n_obs = design.n_eff * design.responses[0].shape[1]
+        assert fit.aic == fit.bic == n_obs * np.log(1e-300)
 
     def test_bic_null_model_mostly_selects_empty(self):
         # measured behavior of the shrinkage-df BIC on pure noise: the
@@ -722,7 +735,7 @@ class TestRegularizationPath:
         assert [f.j for f in one] == [2] * 10
         for a, b in zip(one, many):
             assert a.iterations == b.iterations
-            np.testing.assert_allclose(a.coeffs_std, b.coeffs_std, rtol=0,
+            np.testing.assert_allclose(a.psi_stacked, b.psi_stacked, rtol=0,
                                        atol=1e-13)
 
     @pytest.mark.parametrize("make", [lambda: mixed_block_design(L=2),
@@ -730,10 +743,18 @@ class TestRegularizationPath:
     def test_index_summaries_match_per_row_loop(self, make):
         design = make()
         paths = regularization_path(design, range(design.p), n_gammas=12)
-        for path in paths:
-            for fit in path:
+        # the same batched solves give each index's X to the bit
+        hmat, ynorm_sq, col_offsets = stacked_rows(design)
+        x = None
+        for i, gammas in enumerate(np.array([[f.gamma for f in path]
+                                             for path in paths]).T):
+            x = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
+                                 gammas, design.step_size, x0=x,
+                                 col_offsets=col_offsets).x
+            for fit, lo, hi in zip((path[i] for path in paths), col_offsets,
+                                   col_offsets[1:]):
                 want = fit_result_loop(design, fit.j, fit.gamma,
-                                       fit.coeffs_std, fit.iterations,
+                                       x[:, lo:hi].copy(), fit.iterations,
                                        fit.converged)
                 np.testing.assert_array_equal(fit.active(), want.active())
                 for name in ("psi_stacked", "vpsi_sq", "rss", "df", "aic",
@@ -758,11 +779,11 @@ class TestRegularizationPath:
         Y = design.responses[j]
         info = block_fista_gram(design.gram, design.design.T @ Y,
                                 float(np.sum(Y * Y)), design.offsets, gamma,
-                                design.step_size(), row_ids=[j])
+                                design.step_size, row_ids=[j])
         want = fit_result_loop(design, j, gamma, info.x, info.iterations,
                                info.converged)
         fit = fit_row(j, design, gamma)
-        for name in ("psi_stacked", "coeffs_std", "vpsi_sq"):
+        for name in ("psi_stacked", "vpsi_sq"):
             np.testing.assert_array_equal(getattr(fit, name),
                                           getattr(want, name))
         for name in ("j", "gamma", "iterations", "converged", "rss", "df",
@@ -799,6 +820,39 @@ class TestRegularizationPath:
             fit_row(0, design, 1.0, **kwargs)
 
 
+class TestDerivedValues:
+    @pytest.mark.parametrize("ratio", [0.3, 0.8])
+    def test_recovered_x_is_the_solve_with_zero_blocks_exact(self, ratio):
+        design = desk_design()
+        inactive = 0
+        for j in range(design.p):
+            gamma = ratio * gamma_max(design, j)
+            Y = design.responses[j]
+            x = block_fista_gram(design.gram, design.design.T @ Y,
+                                 float(np.sum(Y * Y)), design.offsets, gamma,
+                                 design.step_size).x
+            got = standardized_coeffs(design, fit_row(j, design, gamma))
+            assert np.linalg.norm(got - x) <= 1e-13 * np.linalg.norm(x)
+            zero = block_norms_sq(x, design) == 0
+            np.testing.assert_array_equal(block_norms_sq(got, design) == 0,
+                                          zero)
+            assert (got[np.repeat(zero, design.block_sizes())] == 0).all()
+            inactive += zero.sum()
+        assert 0 < inactive < design.p * design.n_blocks
+
+    def test_replaced_design_derives_its_own_gram_and_step(self):
+        design = desk_design()
+        step = design.step_size  # derived, and kept, before the replace
+        k = 120
+        short = dataclasses.replace(
+            design, design=design.design[:k],
+            responses=[Y[:k] for Y in design.responses])
+        B = design.design[:k]
+        np.testing.assert_array_equal(short.gram, B.T @ B)
+        assert short.step_size == 0.9 / np.linalg.eigvalsh(B.T @ B)[-1]
+        assert short.step_size != step
+
+
 class TestSweepPathThreads:
     def test_output_independent_of_threads(self):
         design = mixed_block_design(L=1)
@@ -809,7 +863,6 @@ class TestSweepPathThreads:
         for row1, row2 in zip(paths1, paths2):
             for f1, f2 in zip(row1, row2):
                 assert f1.gamma == f2.gamma
-                np.testing.assert_array_equal(f1.coeffs_std, f2.coeffs_std)
                 np.testing.assert_array_equal(f1.psi_stacked, f2.psi_stacked)
                 assert (f1.iterations, f1.converged) == \
                     (f2.iterations, f2.converged)
