@@ -9,6 +9,13 @@ Two families are supported:
 
 The Gram pair (J, Q) holds J = int b(u) b(u)^T du and the curvature penalty
 Q = int b''(u) b''(u)^T du used by regularized FPCA.
+
+B-splines are evaluated in numpy, in scipy's order of floating-point
+operations: the interval search and Cox-de Boor recursion of
+``scipy.interpolate.BSpline``, and for second derivatives the coefficient
+differences of ``BSpline.derivative(2)`` followed by a degree-1 evaluation.
+The values, signed zeros included, are scipy's bit for bit, without loading
+scipy.interpolate.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .errors import ConfigError, DataError
 
@@ -42,8 +48,8 @@ class BasisSpec:
         if self.kind == "bspline" and self.dimension < SPLINE_ORDER:
             raise ConfigError(f"cubic bspline basis needs dimension >= {SPLINE_ORDER}")
         a, b = self.domain
-        if not b > a:
-            raise ConfigError("domain must have positive length")
+        if not -np.inf < a < b < np.inf:
+            raise ConfigError("domain must be a finite interval of positive length")
         object.__setattr__(self, "domain", (float(a), float(b)))
 
     @property
@@ -74,6 +80,8 @@ class GramPair:
 
 def _check_points(spec: BasisSpec, points: np.ndarray) -> np.ndarray:
     pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise DataError("evaluation points must be finite")
     a, b = spec.domain
     slack = _EDGE_TOL * max(1.0, abs(a), abs(b))
     if pts.size and (pts.min() < a - slack or pts.max() > b + slack):
@@ -86,6 +94,33 @@ def _bspline_knots(spec: BasisSpec) -> np.ndarray:
     n_breaks = spec.dimension - SPLINE_ORDER + 2
     breaks = np.linspace(a, b, n_breaks)
     return np.r_[np.full(SPLINE_ORDER - 1, a), breaks, np.full(SPLINE_ORDER - 1, b)]
+
+
+def _spline_values(t: np.ndarray, c: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """(len(x), c.shape[1]) values of the degree-k splines with knots t and
+    coefficient columns c at the points x, which lie in [t[k], t[-k-1]].
+
+    This is scipy's evaluation: each x goes to the interval
+    t[ell] <= x < t[ell + 1] with ell in [k, len(t) - k - 2], the k + 1
+    B-splines nonzero there come from the Cox-de Boor recursion, and the
+    sum over them starts at 0.0 and runs in order.
+    """
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, t.size - k - 2)
+    h = np.zeros((x.size, k + 1))
+    h[:, 0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            xb, xa = t[ell + m], t[ell + m - j]
+            same = xb == xa
+            w = hh[:, m - 1] / np.where(same, 1.0, xb - xa)
+            h[:, m - 1] = np.where(same, h[:, m - 1], h[:, m - 1] + w * (xb - x))
+            h[:, m] = np.where(same, 0.0, w * (x - xa))
+    out = np.zeros((x.size, c.shape[1]))
+    for a in range(k + 1):
+        out = out + c[ell + a - k] * h[:, a, None]
+    return out
 
 
 def evaluate_basis(spec: BasisSpec, points) -> np.ndarray:
@@ -108,8 +143,7 @@ def evaluate_basis(spec: BasisSpec, points) -> np.ndarray:
             arg = 2.0 * np.pi * k * u
             out[:, col] = amp * (np.sin(arg) if col % 2 == 1 else np.cos(arg))
         return out
-    t = _bspline_knots(spec)
-    return BSpline.design_matrix(pts, t, SPLINE_ORDER - 1, extrapolate=False).toarray()
+    return _spline_values(_bspline_knots(spec), np.eye(G), SPLINE_ORDER - 1, pts)
 
 
 def evaluate_basis_deriv2(spec: BasisSpec, points) -> np.ndarray:
@@ -128,9 +162,15 @@ def evaluate_basis_deriv2(spec: BasisSpec, points) -> np.ndarray:
             arg = 2.0 * np.pi * k * u
             out[:, col] = -w2 * amp * (np.sin(arg) if col % 2 == 1 else np.cos(arg))
         return out
-    t = _bspline_knots(spec)
-    spline = BSpline(t, np.eye(G), SPLINE_ORDER - 1, extrapolate=False)
-    return spline.derivative(2)(pts)
+    # differentiate the identity coefficients, padded with zero rows to the
+    # knot count, twice as scipy's splder does: degree 3 -> 2 -> 1
+    t, k = _bspline_knots(spec), SPLINE_ORDER - 1
+    c = np.eye(t.size, G)
+    for _ in range(2):
+        dt = t[k + 1:-1] - t[1:-k - 1]
+        c = np.r_[(c[1:-1 - k] - c[:-2 - k]) * k / dt[:, None], np.zeros((k, G))]
+        t, k = t[1:-1], k - 1
+    return _spline_values(t, c, k, pts)
 
 
 @functools.cache

@@ -29,7 +29,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .basis import BasisSpec, GramPair, evaluate_basis, gram_matrices
 from .errors import ConfigError, DataError, NumericalError
@@ -113,14 +112,18 @@ class PanelFPCA:
 def project_to_basis(curves: np.ndarray, grid: np.ndarray, basis: BasisSpec) -> np.ndarray:
     """Penalty-free least-squares basis coefficients, one row per curve:
     (n, T) curves give (n, G), a (p, n, T) stack gives (p, n, G).  A basis
-    without full column rank on the grid is a ConfigError."""
+    without full column rank on the grid is a ConfigError.
+
+    R is exactly upper triangular, so the LU in ``solve`` pivots nowhere
+    and the solve is the triangular one, bit for bit.  The projector is
+    made C-ordered: ``matmul`` with a transposed operand rounds differently."""
     B = evaluate_basis(basis, grid)
     if np.linalg.matrix_rank(B) < B.shape[1]:
         raise ConfigError(f"{basis.kind} basis of dimension {basis.dimension} "
                           f"is rank deficient on the {len(grid)}-point grid")
     Q, R = np.linalg.qr(B)
-    return np.asarray(curves, dtype=float) @ scipy.linalg.solve_triangular(
-        R, Q.T).T
+    return np.asarray(curves, dtype=float) @ np.ascontiguousarray(
+        np.linalg.solve(R, Q.T).T)
 
 
 def _whiten(grams: GramPair, eta: float):

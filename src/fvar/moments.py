@@ -22,6 +22,10 @@ every frequency where the whitened density reaches g.  Between two such
 crossings the density stays above g or below it throughout, so one point in
 the middle of each arc tells which arcs to evaluate whole; the others are
 below g and cannot hold the maximum.
+
+numpy has no generalized eigensolver, so that level-set step imports
+scipy.linalg (its QZ and ``matrix_balance``) when it first runs; it is the
+only place fvar loads scipy, and fitting never does.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, DataError, NonstationaryError, NumericalError
 
@@ -201,6 +204,8 @@ def _level_crossings(C: np.ndarray, N: np.ndarray, gram: np.ndarray,
     from unit scale lets QZ put a crossing off the circle by more than
     ``_CIRCLE_TOL``.
     """
+    import scipy.linalg  # ~28 MB resident: only the stability measure pays it
+
     d = C.shape[0]
     _, (t, _) = scipy.linalg.matrix_balance(C, permute=False, separate=True)
     C, N, gram = C * (t / t[:, None]), N / np.outer(t, t), gram * np.outer(t, t)

@@ -51,6 +51,8 @@ class CurvePanel:
             raise ConfigError("grid length does not match values")
         if T < 2:
             raise ConfigError("need at least two grid points")
+        if not np.all(np.isfinite(self.grid)):
+            raise ConfigError("grid points must be finite")
         if np.any(np.diff(self.grid) <= 0):
             raise ConfigError("grid must be strictly increasing")
         if not np.all(np.isfinite(self.values)):

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, DataError, NumericalError, parse_json
 from .fpca import KLModel
@@ -89,7 +88,14 @@ class DesignSet:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return self.design.T @ self.design
+        """design^T design in a 64-byte aligned buffer: at one BLAS thread a
+        (5 x 400)(400 x 400) product with it takes 44 us aligned and 62 us
+        16, 32 or 48 bytes off, with the same bits."""
+        r = self.design.shape[1]
+        buf = np.empty(r * r + 8)
+        start = -buf.ctypes.data % 64 // buf.itemsize
+        return np.matmul(self.design.T, self.design,
+                         out=buf[start:start + r * r].reshape(r, r))
 
     @cached_property
     def step_size(self) -> float:
@@ -174,9 +180,11 @@ def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
     design = np.concatenate(cols, axis=1)
     sizes = [c.shape[1] for c in cols]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    unstandardize = np.zeros((offsets[-1], offsets[-1]))
+    for a, b, Dinv in zip(offsets[:-1], offsets[1:], roots_inv):
+        unstandardize[a:b, a:b] = Dinv
     return DesignSet(n=n, L=L, responses=[s[L:] for s in scores],
-                     unstandardize=scipy.linalg.block_diag(*roots_inv),
-                     design=design, offsets=offsets)
+                     unstandardize=unstandardize, design=design, offsets=offsets)
 
 
 def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:

@@ -67,6 +67,45 @@ class TestBsplineEvaluation:
             evaluate_basis(spec, [-0.01])
 
 
+@pytest.mark.parametrize("kind", ["fourier", "bspline"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_point_is_data_error(kind, bad):
+    spec = BasisSpec(kind, 6)
+    for evaluate in (evaluate_basis, evaluate_basis_deriv2):
+        with pytest.raises(DataError, match="finite"):
+            evaluate(spec, [0.0, bad, 1.0])
+
+
+def scipy_points(spec):
+    """Grids, knots, endpoints, random points and the quadrature nodes of
+    ``gram_matrices``, all inside the domain."""
+    a, b = spec.domain
+    breaks = np.unique(_bspline_knots(spec))
+    nodes, _ = np.polynomial.legendre.leggauss(2 * spec.dimension)
+    quad = [lo + 0.5 * (hi - lo) * (nodes + 1.0)
+            for lo, hi in zip(breaks[:-1], breaks[1:])]
+    rng = np.random.default_rng(spec.dimension)
+    return [np.linspace(a, b, 50), np.linspace(a, b, 78), breaks,
+            np.array([a, b, b, a]), rng.uniform(a, b, 200),
+            np.clip(np.concatenate(quad), a, b)]
+
+
+@pytest.mark.parametrize("G", range(4, 41))
+def test_bspline_values_are_scipys_bit_for_bit(G):
+    from scipy.interpolate import BSpline
+    for domain in [(0.0, 1.0), (-1.3, 2.7), (0.0, 77.0), (3.0, 3.5)]:
+        spec = BasisSpec("bspline", G, domain)
+        t = _bspline_knots(spec)
+        second = BSpline(t, np.eye(G), 3, extrapolate=False).derivative(2)
+        for x in scipy_points(spec):
+            pairs = [(evaluate_basis(spec, x),
+                      BSpline.design_matrix(x, t, 3).toarray()),
+                     (evaluate_basis_deriv2(spec, x), second(x))]
+            for got, ref in pairs:
+                np.testing.assert_array_equal(got, ref)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
 class TestGramMatrices:
     def test_fourier_J_identity(self):
         pair = gram_matrices(BasisSpec("fourier", 5))
@@ -150,3 +189,10 @@ class TestBasisSpec:
     def test_empty_domain(self):
         with pytest.raises(ConfigError):
             BasisSpec("fourier", 3, domain=(1.0, 1.0))
+
+    @pytest.mark.parametrize("kind", ["fourier", "bspline"])
+    @pytest.mark.parametrize("domain", [(0.0, np.inf), (-np.inf, 0.0),
+                                        (np.nan, 1.0), (0.0, np.nan)])
+    def test_non_finite_domain(self, kind, domain):
+        with pytest.raises(ConfigError, match="finite interval"):
+            BasisSpec(kind, 6, domain=domain)

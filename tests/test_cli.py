@@ -336,6 +336,20 @@ class TestFit:
         assert "variable 1 (x1) has zero variance" in err
 
 
+    @pytest.mark.parametrize("basis", ["bspline", "fourier"])
+    def test_non_finite_grid_is_config_error(self, sim_dir, tmp_path, capsys,
+                                             basis):
+        panel = CurvePanel.from_npz(sim_dir / "panel.npz")
+        grid = panel.grid.copy()
+        grid[5] = np.nan
+        np.savez_compressed(tmp_path / "nan.npz", values=panel.values,
+                            grid=grid, ids=np.array(panel.ids))
+        assert run("fit", "--panel", tmp_path / "nan.npz", "--basis", basis,
+                   "--basis-dim", 8, "--q", 3, "--eta", 1e-4,
+                   "--out", tmp_path / "out") == 2
+        assert "grid points must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["fit", "select", "path"])
     def test_q_zero_is_config_error(self, sim_dir, tmp_path, capsys, command):
         out = tmp_path / "out"

@@ -337,6 +337,19 @@ class TestPanel:
             np.testing.assert_array_equal(
                 stacked[j], project_to_basis(curves[j], GRID, self.BASIS))
 
+    @pytest.mark.parametrize("kind", ["fourier", "bspline"])
+    @pytest.mark.parametrize("G, T", [(4, 12), (5, 50), (9, 24), (15, 78),
+                                      (25, 50), (40, 101)])
+    def test_projector_is_scipys_triangular_solve(self, kind, G, T):
+        grid = np.linspace(0.0, 1.0, T)
+        basis = BasisSpec(kind, G)
+        Q, R = np.linalg.qr(evaluate_basis(basis, grid))
+        projector = scipy.linalg.solve_triangular(R, Q.T).T
+        for shape in [(7, T), (3, 7, T)]:  # one variable, a stack
+            curves = np.random.default_rng(G * T).standard_normal(shape)
+            np.testing.assert_array_equal(
+                project_to_basis(curves, grid, basis), curves @ projector)
+
     @pytest.mark.parametrize("grid", [np.linspace(0.0, 1.0, 8),
                                       np.repeat(np.linspace(0.0, 1.0, 5), 2)],
                              ids=["fewer-points", "repeated-points"])

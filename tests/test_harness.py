@@ -153,6 +153,40 @@ def test_theory_tools_leave_scipy_signal_unimported():
     assert proc.stdout.strip() == "False"
 
 
+def test_fit_path_leaves_scipy_unimported():
+    # scipy.interpolate and scipy.linalg cost ~50 MB of resident memory and
+    # ~0.5 s of start-up; only the stability measure's level-set step loads
+    # scipy.linalg
+    heavy = ["scipy.interpolate", "scipy.sparse", "scipy.special",
+             "scipy.linalg"]
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import fvar, fvar.cli\n"
+            "from fvar.basis import BasisSpec\n"
+            "from fvar.fpca import fpca_panel\n"
+            "from fvar.moments import stability_measure_var1\n"
+            "from fvar.network import extract_network\n"
+            "from fvar.pipeline import fit_rows\n"
+            "from fvar.solver import build_design, recover_kernels\n"
+            "from fvar.vfar import gen_block_banded, simulate\n"
+            "model = gen_block_banded(p=3, G=4, bandwidth=1, seed=1)\n"
+            "panel = simulate(model, 40, grid=np.linspace(0, 1, 20), seed=1)\n"
+            "stage1 = fpca_panel(panel, BasisSpec('bspline', 8), [2, 3],\n"
+            "                    [0.0, 1e-4], folds=3)\n"
+            "design = build_design(stage1.kl_models, 1)\n"
+            "fits, _ = fit_rows(design, gamma=0.5)\n"
+            "kernels = recover_kernels(fits, stage1.kl_models)\n"
+            "extract_network(kernels, indegree=2)\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            "stability_measure_var1(0.5 * np.eye(3), np.eye(3), 64)\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 class TestScenarios:
     def test_source_presets_present(self):
         sizes = {(sc.n, sc.p) for sc in SCENARIOS.values()}

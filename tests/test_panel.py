@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fvar.panel
-from fvar.errors import DataError
+from fvar.errors import ConfigError, DataError
 from fvar.panel import CurvePanel, read_price_csv
 
 from oracles import write_panel_csv_reference
@@ -176,6 +176,17 @@ class TestPanelBlocks:
         assert back.ids == ids
         for t, name, s, v in rows:
             assert back.values[t, ids.index(name), s] == v
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_non_finite_grid_is_config_error(bad, at):
+    # NaN passes a strictly-increasing check on np.diff, and so does an
+    # infinity at the end it increases toward
+    grid = np.linspace(0.0, 1.0, 5)
+    grid[at] = bad
+    with pytest.raises(ConfigError, match="grid points must be finite"):
+        CurvePanel(values=np.zeros((3, 2, 5)), grid=grid)
 
 
 def test_reader_that_is_not_a_file_has_no_size_bound(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from fvar.basis import BasisSpec, evaluate_basis
 from fvar.errors import ConfigError, DataError, NumericalError
 from fvar.fpca import KLModel, fit_regularized_fpca
+from fvar.moments import sym_inv_sqrt
 from fvar.pipeline import fit_rows, sweep_path
 from fvar.solver import (KernelEstimate, best_fit, block_fista_gram,
                          build_design, default_gamma_grid,
@@ -839,6 +840,28 @@ class TestDerivedValues:
             assert (got[np.repeat(zero, design.block_sizes())] == 0).all()
             inactive += zero.sum()
         assert 0 < inactive < design.p * design.n_blocks
+
+    @pytest.mark.parametrize("build", [lambda: mixed_block_design(L=2),
+                                       desk_design], ids=["mixed-L2", "desk-p20"])
+    def test_gram_is_aligned_and_exact(self, build):
+        design = build()
+        assert design.gram.ctypes.data % 64 == 0
+        assert design.gram.flags.c_contiguous
+        np.testing.assert_array_equal(design.gram,
+                                      design.design.T @ design.design)
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_unstandardize_is_scipys_block_diag(self, L):
+        from scipy.linalg import block_diag
+        models = mixed_block_models()
+        design = build_design(models, L)
+        n_eff = design.n_eff
+        blocks = []
+        for h in range(1, L + 1):  # lag-major, as the design's columns
+            for m in models:
+                V = m.scores[L - h: m.n - h]
+                blocks.append(sym_inv_sqrt(V.T @ V / n_eff, "singular"))
+        np.testing.assert_array_equal(design.unstandardize, block_diag(*blocks))
 
     def test_replaced_design_derives_its_own_gram_and_step(self):
         design = desk_design()
