@@ -15,17 +15,20 @@ and no inverse, and the frequencies are batched so that no (batch, d, d)
 complex array exceeds ``_BATCH_BYTES``.
 
 Only the grid points that can hold the maximum are evaluated.  A coarse pass
-over every ``_COARSE_STRIDE``-th point gives a level g the grid attains.  One
-QZ eigensolve of a real 2d x 2d pencil (the level-set method for the H-infinity
-norm: Boyd, Balakrishnan & Kabamba 1989; Bruinsma & Steinbuch 1990) then finds
-every frequency where the whitened density reaches g.  Between two such
-crossings the density stays above g or below it throughout, so one point in
-the middle of each arc tells which arcs to evaluate whole; the others are
-below g and cannot hold the maximum.
-
-numpy has no generalized eigensolver, so that level-set step imports
-scipy.linalg (its QZ and ``matrix_balance``) when it first runs; it is the
-only place fvar loads scipy, and fitting never does.
+over every ``_COARSE_STRIDE``-th point gives a level g the grid attains.  The
+level-set method for the H-infinity norm (Boyd, Balakrishnan & Kabamba 1989;
+Bruinsma & Steinbuch 1990) then finds every frequency where the whitened
+density reaches g as the unit-circle eigenvalues of a real 2d x 2d pencil.
+The pencil is shifted to e^{i theta0}, at the coarse point theta0 with the
+lowest top eigenvalue: every eigenvalue of the density is below g there, so
+the shifted pencil is regular, with a margin of g minus that top, and one
+complex solve and one ``eigvals`` (which balances the matrix it is given)
+yield all its eigenvalues.  When that margin is within ``_ARC_RTOL`` of g,
+the density is flat at the coarse points and the whole half grid is
+evaluated.  Otherwise, between two crossings the density stays above g or
+below it throughout, so one point in the middle of each arc tells which
+arcs to evaluate whole; the others are below g and cannot hold the maximum.
+fvar needs nothing but numpy at run time.
 """
 
 from __future__ import annotations
@@ -164,8 +167,9 @@ _BATCH_BYTES = 256 * 1024
 # The coarse pass evaluates every _COARSE_STRIDE-th point of the half grid.
 # A pencil eigenvalue w with | |w| - 1 | <= _CIRCLE_TOL counts as a frequency
 # on the unit circle; a loose tolerance only adds crossings, never drops one.
-# An arc is evaluated whole when its middle reaches (1 - _ARC_RTOL) g, which
-# covers a density that is flat to rounding, where crossings are ill-posed.
+# An arc is evaluated whole when its middle reaches (1 - _ARC_RTOL) g, and
+# the half grid when every coarse point does, which covers a density that is
+# flat to rounding, where crossings are ill-posed.
 _COARSE_STRIDE = 16
 _CIRCLE_TOL = 1e-6
 _ARC_RTOL = 1e-9
@@ -183,44 +187,46 @@ def _top_eigenvalues(C: np.ndarray, N: np.ndarray, thetas: np.ndarray,
 
 
 def _level_crossings(C: np.ndarray, N: np.ndarray, gram: np.ndarray,
-                     level: float) -> np.ndarray:
+                     level: float, theta0: float) -> np.ndarray:
     """Sorted frequencies theta in [-pi, 0] at which some eigenvalue of
-    left 2 pi f(theta) left^T equals ``level`` > 0, where gram = left^T left.
+    left 2 pi f(theta) left^T equals ``level`` > 0, where gram = left^T left,
+    given a frequency ``theta0`` at which every such eigenvalue is below
+    ``level``.
 
     With N = B B^T, these eigenvalues are the squared singular values of
     left (wI - C)^{-1} B at w = e^{i theta}, and ``level`` is one of them
-    exactly when w is an eigenvalue of the real pencil
-    [[C, s N/level], [0, I]] - w [[I, 0], [gram/s, C^T]] for any s > 0,
-    found by one QZ.  The eigenvalues come in conjugate pairs, as f(-theta)
-    mirrors f(theta), and each maps to -|angle w|.  Eigenvalues at infinity
-    (C singular) have a zero beta and drop out; a singular pencil (a
-    constant density equal to ``level``) adds arbitrary ones, which only
-    cost evaluations.
+    exactly when w is an eigenvalue of the real pencil (a, b) =
+    ([[C, s N/level], [0, I]], [[I, 0], [gram/s, C^T]]) for any s > 0.
+    numpy finds them by a shift: with sigma = e^{i theta0}, w is an
+    eigenvalue of the pencil exactly when mu = 1/(w - sigma) is an eigenvalue
+    of (a - sigma b)^{-1} b, so one complex solve and one ``eigvals`` give
+    every w = sigma + 1/mu.  a - sigma b is regular because no eigenvalue of
+    the density at theta0 equals ``level``, and it is the better conditioned
+    the wider the margin between ``level`` and the density's top eigenvalue
+    at theta0; the caller evaluates the whole grid instead when that margin
+    is within ``_ARC_RTOL`` of ``level``.  The eigenvalues come in conjugate
+    pairs, as f(-theta) mirrors f(theta), and each maps to -|angle w|.  An
+    eigenvalue at infinity (C singular) is mu = 0 and drops out.
 
-    Two scalings that leave the density unchanged keep the crossings on the
-    circle: a diagonal change of coordinates that balances C (with N and
-    gram transformed to match), and s, which balances the two coupling
-    blocks.  Without them, a badly scaled C or a stationary covariance far
-    from unit scale lets QZ put a crossing off the circle by more than
-    ``_CIRCLE_TOL``.
+    Scaling: ``eigvals`` (LAPACK geev) balances (a - sigma b)^{-1} b by a
+    diagonal similarity of powers of 2 itself, so C needs no balancing of
+    its own, unlike a QZ of the pencil.  The factor s balances the two
+    coupling blocks before the solve.  With s = 1 and ``_CIRCLE_TOL``
+    tightened to 1e-9, 2 of 1 000 near-unit-root stress systems lost a
+    crossing and their maximum; with s, none of 6 000 did at 1e-10.
     """
-    import scipy.linalg  # ~28 MB resident: only the stability measure pays it
-
     d = C.shape[0]
-    _, (t, _) = scipy.linalg.matrix_balance(C, permute=False, separate=True)
-    C, N, gram = C * (t / t[:, None]), N / np.outer(t, t), gram * np.outer(t, t)
     s = np.sqrt(level * np.max(np.abs(gram)) / np.max(np.abs(N)))
-    # Fortran order, so that LAPACK works in place without a copy
-    a = np.zeros((2 * d, 2 * d), order="F")
-    b = np.zeros((2 * d, 2 * d), order="F")
+    a = np.zeros((2 * d, 2 * d))
+    b = np.zeros((2 * d, 2 * d))
     a[:d, :d], a[:d, d:], a[d:, d:] = C, (s / level) * N, np.eye(d)
     b[:d, :d], b[d:, :d], b[d:, d:] = np.eye(d), gram / s, C.T
-    alpha, beta = scipy.linalg.eig(a, b, left=False, right=False,
-                                   overwrite_a=True, overwrite_b=True,
-                                   homogeneous_eigvals=True, check_finite=False)
-    scale = np.abs(beta)
+    sigma = np.exp(1j * theta0)
+    mu = np.linalg.eigvals(np.linalg.solve(a - sigma * b, b))
+    # w = alpha / mu with alpha = sigma mu + 1, tested without dividing
+    alpha, scale = sigma * mu + 1.0, np.abs(mu)
     on_circle = (scale > 0) & (np.abs(np.abs(alpha) - scale) <= _CIRCLE_TOL * scale)
-    return np.sort(-np.abs(np.angle(alpha[on_circle] * np.conj(beta[on_circle]))))
+    return np.sort(-np.abs(np.angle(alpha[on_circle] * np.conj(mu[on_circle]))))
 
 
 def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
@@ -244,12 +250,14 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
 
     Not every grid point is evaluated; ``theta_evaluations`` counts those
     that are.  The coarse pass takes every ``_COARSE_STRIDE``-th point and
-    both ends; their maximum g is a value of the grid.  ``_level_crossings``
-    finds every theta where some eigenvalue of M equals g, and these cut the
-    half grid into arcs on which the top eigenvalue stays above g or below
-    it.  The points on either side of each crossing and the middle point of
-    each arc are evaluated, and so is every point of an arc whose middle
-    reaches (1 - ``_ARC_RTOL``) g.  Every skipped point lies below g, and every
+    both ends; their maximum g is a value of the grid.  When the lowest of
+    them reaches (1 - ``_ARC_RTOL``) g, every point is evaluated.  Otherwise
+    ``_level_crossings``, shifted to the lowest coarse point, finds every
+    theta where some eigenvalue of M equals g, and these cut the half grid
+    into arcs on which the top eigenvalue stays above g or below it.  The
+    points on either side of each crossing and the middle point of each arc
+    are evaluated, and so is every point of an arc whose middle reaches
+    (1 - ``_ARC_RTOL``) g.  Every skipped point lies below g, and every
     evaluated one goes through the same arithmetic as a full-grid pass, so
     the value and ``argmax_theta`` equal those of evaluating the whole grid.
     """
@@ -278,19 +286,23 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
             tops[points] = _top_eigenvalues(C, N, thetas[points], left)
             done[points] = True
 
-    evaluate(np.r_[np.arange(0, size, _COARSE_STRIDE), size - 1])
+    coarse = np.r_[np.arange(0, size, _COARSE_STRIDE), size - 1]
+    evaluate(coarse)
     g = tops.max()
+    low = coarse[np.argmin(tops[coarse])]
     # M averages to the identity over theta, so g > 0 unless M vanishes at
-    # every coarse point; then there are no cuts and the one arc is the grid
-    crossings = (_level_crossings(C, N, left.T @ left, g) if g > 0
-                 else np.empty(0))
-    cuts = np.searchsorted(thetas, crossings)
-    bounds = np.unique(np.r_[0, cuts, size])
-    starts, ends = bounds[:-1], bounds[1:]
-    mids = (starts + ends - 1) // 2
-    evaluate(np.r_[np.clip(np.r_[cuts - 1, cuts], 0, size - 1), mids])
-    high = tops[mids] >= g * (1.0 - _ARC_RTOL)
-    evaluate(np.flatnonzero(np.repeat(high, ends - starts)))
+    # every coarse point
+    if g <= 0 or tops[low] >= g * (1.0 - _ARC_RTOL):
+        evaluate(np.arange(size))  # flat at the coarse points
+    else:
+        crossings = _level_crossings(C, N, left.T @ left, g, thetas[low])
+        cuts = np.searchsorted(thetas, crossings)
+        bounds = np.unique(np.r_[0, cuts, size])
+        starts, ends = bounds[:-1], bounds[1:]
+        mids = (starts + ends - 1) // 2
+        evaluate(np.r_[np.clip(np.r_[cuts - 1, cuts], 0, size - 1), mids])
+        high = tops[mids] >= g * (1.0 - _ARC_RTOL)
+        evaluate(np.flatnonzero(np.repeat(high, ends - starts)))
 
     best = int(np.argmax(tops))
     return StabilityReport(value=float(tops[best]),

@@ -148,6 +148,19 @@ def roc_and_auroc(path, truth: VFARModel) -> EvalReport:
 
 
 GRID_SIZE = 200
+# Largest (p, rows, rows) float array of kernel-difference blocks that one
+# chunk of target variables in ``relative_error`` builds.
+_CHUNK_BYTES = 64 * 1024
+
+
+def _times_transposed(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every block left_j[:, k block] @ right_k^T, for left (c, m, p n) with
+    its columns split into p blocks of n and right (p, m, n); stacked as
+    (p, c m, m), one batched matmul over k."""
+    c, m, _ = left.shape
+    p, _, n = right.shape
+    stacked = left.reshape(c, m, p, n).transpose(2, 0, 1, 3).reshape(p, c * m, n)
+    return stacked @ right.transpose(0, 2, 1)
 
 
 def relative_error(kernels: KernelEstimate, truth: VFARModel) -> float:
@@ -156,7 +169,13 @@ def relative_error(kernels: KernelEstimate, truth: VFARModel) -> float:
     common grid of GRID_SIZE points.  With [U_j | V_j] the R factor of
     sqrt(W) [Phi_j | S], for variable j's eigenfunctions Phi_j and the
     truth's basis S on the grid, the quadrature of the squared difference of
-    kernels (j, k) is ||U_j Psi_jk^T U_k^T - V_j B_jk V_k^T||_F^2."""
+    kernels (j, k) is ||U_j Psi_jk^T U_k^T - V_j B_jk V_k^T||_F^2.
+
+    Each distinct basis is evaluated on the grid once.  The U_j are
+    zero-padded to a common shape, and the Psi_jk^T to q x q with q the
+    largest q_j, so that all (j, k) products of a lag are batched matmuls
+    over j and then k, in chunks of target variables j under
+    ``_CHUNK_BYTES``; the zeros add nothing to the sums."""
     if (kernels.L, kernels.p) != (truth.L, truth.p):
         raise ConfigError(f"the estimate has L={kernels.L}, p={kernels.p} but "
                           f"the true model has L={truth.L}, p={truth.p}")
@@ -167,22 +186,36 @@ def relative_error(kernels: KernelEstimate, truth: VFARModel) -> float:
     w[-1] *= 0.5
 
     root_w = np.sqrt(w)[:, None]
-    S = root_w * evaluate_basis(truth.basis, u)
-    G = S.shape[1]
-    R = [np.linalg.qr(np.hstack([root_w * m.eigenfunctions(u), S]), mode="r")
-         for m in kernels.kl_models]
-    U, V = [r[:, :-G] for r in R], [r[:, -G:] for r in R]
+    models = kernels.kl_models
+    values = {spec: evaluate_basis(spec, u)
+              for spec in {truth.basis} | {m.basis for m in models}}
+    S = root_w * values[truth.basis]
+    R = [np.linalg.qr(np.hstack([root_w * (values[m.basis] @ m.eigen_coeffs.T), S]),
+                      mode="r") for m in models]
+    p, G = truth.p, S.shape[1]
+    q, rows = max(m.q for m in models), max(r.shape[0] for r in R)
+    U, V = np.zeros((p, rows, q)), np.zeros((p, rows, G))
+    for j, r in enumerate(R):
+        U[j, :r.shape[0], :r.shape[1] - G] = r[:, :-G]
+        V[j, :r.shape[0]] = r[:, -G:]
+    # padded positions of variable j's components: j q, ..., j q + q_j - 1
+    pos = np.concatenate([j * q + np.arange(m.q) for j, m in enumerate(models)])
     o = kernels.offsets
+    chunk = max(1, _CHUNK_BYTES // (8 * p * rows * rows))
     num = den = 0.0
     for lag, blocks in zip(kernels.lags, truth.blocks):
-        for j in range(truth.p):
-            est = U[j] @ lag[:, o[j]:o[j + 1]].T  # U_j Psi_jk^T, side by side
-            true = V[j] @ blocks[j]               # V_j B_jk, stacked over k
-            for k in range(truth.p):
-                true_k = true[k] @ V[k].T
-                diff = est[:, o[k]:o[k + 1]] @ U[k].T - true_k
-                num += float(np.vdot(diff, diff))
-                den += float(np.vdot(true_k, true_k))
+        for lo in range(0, p, chunk):
+            hi = min(lo + chunk, p)
+            n = hi - lo
+            # row j of the chunk: [Psi_j1^T ... Psi_jp^T], and [B_j1 ... B_jp]
+            psi_rows = np.zeros((n * q, p * q))
+            psi_rows[np.ix_(pos[o[lo]:o[hi]] - lo * q, pos)] = lag[:, o[lo]:o[hi]].T
+            b_rows = blocks[lo:hi].transpose(0, 2, 1, 3).reshape(n, G, p * G)
+            true = _times_transposed(V[lo:hi] @ b_rows, V)
+            diff = _times_transposed(U[lo:hi] @ psi_rows.reshape(n, q, p * q), U)
+            diff -= true
+            num += float(np.vdot(diff, diff))
+            den += float(np.vdot(true, true))
     if den == 0.0:
         raise DataError("reference model has identically zero kernels")
     return float(np.sqrt(num / den))

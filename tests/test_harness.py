@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo rate harness."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -153,10 +154,9 @@ def test_theory_tools_leave_scipy_signal_unimported():
     assert proc.stdout.strip() == "False"
 
 
-def test_fit_path_leaves_scipy_unimported():
+def test_fit_path_leaves_scipy_unimported(tmp_path):
     # scipy.interpolate and scipy.linalg cost ~50 MB of resident memory and
-    # ~0.5 s of start-up; only the stability measure's level-set step loads
-    # scipy.linalg
+    # ~0.5 s of start-up; fitting and the stability measure load no scipy
     heavy = ["scipy.interpolate", "scipy.sparse", "scipy.special",
              "scipy.linalg"]
     code = ("import sys\n"
@@ -179,12 +179,47 @@ def test_fit_path_leaves_scipy_unimported():
             "extract_network(kernels, indegree=2)\n"
             f"print([m for m in {heavy!r} if m in sys.modules])\n"
             "stability_measure_var1(0.5 * np.eye(3), np.eye(3), 64)\n"
-            "print('scipy.linalg' in sys.modules)\n")
+            f"fvar.cli.main(['stability', '--out', {str(tmp_path)!r}])\n"
+            "print(any(m == 'scipy' or m.startswith('scipy.')\n"
+            "          for m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+    lines = proc.stdout.splitlines()  # the sweep prints a summary between
+    assert (lines[0], lines[-1]) == ("[]", "False")
+
+
+def test_stability_runs_where_scipy_cannot_be_imported(tmp_path):
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import raises ImportError\n"
+            "import numpy as np\n"
+            "from fvar import cli\n"
+            "from fvar.moments import stability_measure_var1\n"
+            "rng = np.random.default_rng(1)\n"
+            "T = np.eye(30) + 0.3 * rng.standard_normal((30, 30)) / np.sqrt(30)\n"
+            "C = T @ np.diag(rng.uniform(-0.9, 0.9, 30)) @ np.linalg.inv(T)\n"
+            "rep = stability_measure_var1(C, T @ T.T, 1024)\n"
+            "assert rep.theta_evaluations < 512, rep\n"
+            f"assert cli.main(['stability', '--out', {str(tmp_path)!r}]) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "stability.csv").is_file()
+
+
+def test_no_module_imports_scipy():
+    for path in sorted((SRC / "fvar").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], \
+                f"{path.name}:{node.lineno} imports {names}"
 
 
 class TestScenarios:

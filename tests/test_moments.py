@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fvar.errors import ConfigError, DataError, NonstationaryError
+from fvar.errors import ConfigError, DataError, NonstationaryError, NumericalError
 from fvar.moments import (operator_norm_var1_kernel, stability_measure_var1,
                           stability_sweep, var1_spectral_density,
                           var1_stationary_cov)
@@ -28,6 +28,19 @@ def var1_style_system(d, seed=1, a_max=0.9):
     a = rng.uniform(-a_max, a_max, size=d)
     T = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
     return T @ np.diag(a) @ np.linalg.inv(T), T @ T.T
+
+
+def stress_system(rng):
+    """A random VAR(1) of dimension 1 to 5 with spectral radius
+    1 - 10^U(-8, -0.1), in coordinates scaled by 10^U(-3, 3), with a noise
+    covariance scaled by 10^U(-8, 8)."""
+    d = int(rng.integers(1, 6))
+    C = rng.standard_normal((d, d))
+    C *= (1.0 - 10.0 ** rng.uniform(-8, -0.1)) / np.max(np.abs(np.linalg.eigvals(C)))
+    M = rng.standard_normal((d, d))
+    D = 10.0 ** rng.uniform(-3, 3, size=d)
+    N = 10.0 ** rng.uniform(-8, 8) * (M @ M.T / d + 0.1 * np.eye(d))
+    return C * D[:, None] / D, N * np.outer(D, D)
 
 
 def appendix_S0(a, b):
@@ -255,10 +268,39 @@ class TestStabilitySkipsGridPoints:
          4097, None),
     ], ids=["coupling-scale", "coordinate-scale"])
     def test_badly_scaled_systems_match_full_grid_oracle(self, C, N, G, subset):
-        # unscaled, QZ puts these crossings 5e-6 off the unit circle
+        # a QZ of the unscaled pencil put these crossings 5e-6 off the circle
         rep = stability_measure_var1(C, N, G, subset=subset)
         value, theta, _ = stability_grid_tops(C, N, G, subset)
         assert (rep.value, rep.argmax_theta) == (value, theta)
+
+    def test_near_unit_root_stress_systems_match_full_grid_oracle(self):
+        # eigenvalues up to 1e-8 from the unit circle, coordinates scaled by
+        # up to 1e3 either way and noise by up to 1e8: the level-set solve's
+        # shift must stay off every crossing and find them all on the circle
+        rng = np.random.default_rng(16)
+        compared, lowest = 0, set()
+        for _ in range(300):
+            C, N = stress_system(rng)
+            d = C.shape[0]
+            G = int(rng.choice([64, 65, 1025, 4097]))
+            subset = (None if rng.random() < 0.5 else
+                      [int(i) for i in rng.choice(d, rng.integers(1, d + 1),
+                                                  replace=False)])
+            try:
+                value, theta, tops = stability_grid_tops(C, N, G, subset)
+            except NumericalError:  # a stationary covariance singular to 1e-12
+                with pytest.raises(NumericalError):
+                    stability_measure_var1(C, N, G, subset=subset)
+                continue
+            rep = stability_measure_var1(C, N, G, subset=subset)
+            assert (rep.value, rep.argmax_theta) == (value, theta)
+            compared += 1
+            # where the shift sits: the coarse point with the lowest top
+            coarse = tops[np.r_[np.arange(0, tops.size, 16), tops.size - 1]]
+            low = int(np.argmin(coarse))
+            lowest.add("-pi" if low == 0 else
+                       "interior" if low < coarse.size - 1 else "0")
+        assert compared >= 200 and {"-pi", "interior"} <= lowest
 
     def test_constant_density_evaluates_every_point(self):
         rep = stability_measure_var1(np.zeros((2, 2)), np.eye(2), 1025)

@@ -189,6 +189,27 @@ class TestRelativeError:
         expected = relative_error_loop(est, truth)
         assert relative_error(est, truth) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("chunk_bytes", [1, 6000, 2**20])
+    def test_matches_grid_loop_across_bases_and_chunks(self, monkeypatch,
+                                                       chunk_bytes):
+        # chunks of 1, 2 and all 5 target variables; two bases among the
+        # variables and a third for the truth
+        monkeypatch.setattr("fvar.network._CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(12)
+        sizes = (1, 3, 2, 4, 2)
+        bases = [BasisSpec("bspline", 6), BasisSpec("fourier", 5)] * 3
+        kl = [KLModel(basis=basis, mean_coeffs=np.zeros(basis.dimension),
+                      eigenvalues=np.ones(q),
+                      eigen_coeffs=rng.standard_normal((q, basis.dimension)),
+                      scores=np.zeros((5, q))) for basis, q in zip(bases, sizes)]
+        psi = [[[rng.standard_normal((qk, qj)) for qk in sizes]
+                for qj in sizes] for _ in range(2)]
+        truth = VFARModel(L=2, p=5, basis=BasisSpec("bspline", 4),
+                          blocks=0.3 * rng.standard_normal((2, 5, 5, 4, 4)))
+        est = _kernel_estimate(2, kl, psi)
+        expected = relative_error_loop(est, truth)
+        assert relative_error(est, truth) == pytest.approx(expected, rel=1e-12)
+
     def test_matches_grid_loop_on_a_fitted_panel(self):
         model = gen_block_banded(p=20, G=5, bandwidth=2, seed=11)
         panel = simulate(model, 80, grid=np.linspace(0, 1, 30), seed=11)
