@@ -29,12 +29,15 @@ from .solver import KernelEstimate, accel_backend, build_design
 from .vfar import VFARModel, gen_block_banded, gen_block_sparse, simulate
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip() != ""]
+def _numbers(text: str, flag: str, kind=float) -> list:
+    """The comma-separated values of ``flag`` as ``kind``; an entry that is
+    not one is a ConfigError naming the flag."""
+    try:
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        what = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{flag} must be a comma-separated list of {what}; "
+                          f"got {text!r}") from None
 
 
 def _outdir(args) -> Path:
@@ -129,8 +132,10 @@ def _stage1_inputs(args) -> dict:
     return {
         "panel": _load_panel(args.panel),
         "basis": BasisSpec(kind=args.basis, dimension=args.basis_dim),
-        "q_grid": [args.q] if args.q is not None else _ints(args.q_grid),
-        "eta_grid": [args.eta] if args.eta is not None else _floats(args.eta_grid),
+        "q_grid": ([args.q] if args.q is not None
+                   else _numbers(args.q_grid, "--q-grid", int)),
+        "eta_grid": ([args.eta] if args.eta is not None
+                     else _numbers(args.eta_grid, "--eta-grid")),
         "folds": args.folds, "seed": args.seed,
     }
 
@@ -238,7 +243,8 @@ def cmd_network(args) -> int:
 # --------------------------------------------------------------- stability
 
 def cmd_stability(args) -> int:
-    rows = stability_sweep(_floats(args.a_values), _floats(args.b_values),
+    rows = stability_sweep(_numbers(args.a_values, "--a-values"),
+                           _numbers(args.b_values, "--b-values"),
                            sigma=args.sigma, theta_grid_size=args.theta_grid)
     out = _outdir(args)
     write_csv(out / "stability.csv",
@@ -251,7 +257,7 @@ def cmd_stability(args) -> int:
 # ------------------------------------------------- concentration harness
 
 def cmd_verify_concentration(args) -> int:
-    ns = _ints(args.ns)
+    ns = _numbers(args.ns, "--ns", int)
     report = run_concentration(p=args.p, q0=args.q0, ns=ns, reps=args.reps,
                                seed=args.seed, ar=args.ar, alpha=args.alpha)
     result = {

@@ -152,9 +152,10 @@ def var1_spectral_density(C: np.ndarray, noise_cov: np.ndarray,
 def sym_inv_sqrt(S: np.ndarray, singular: str) -> np.ndarray:
     """The inverse square root of the symmetric part of S; a
     ``NumericalError`` with the message ``singular`` when it is
-    numerically singular."""
+    numerically singular: its smallest eigenvalue is at most 1e-12 of its
+    largest, whatever the scale of S."""
     w, V = np.linalg.eigh(0.5 * (S + S.T))
-    if w.min() <= 1e-12 * max(w.max(), 1.0):
+    if w.min() <= 1e-12 * w.max():
         raise NumericalError(singular)
     return (V * w ** -0.5) @ V.T
 

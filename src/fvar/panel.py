@@ -19,6 +19,7 @@ import math
 import os
 import stat
 import sys
+import zipfile
 from array import array
 from dataclasses import dataclass, field
 
@@ -166,9 +167,31 @@ class CurvePanel:
 
     @classmethod
     def from_npz(cls, path) -> "CurvePanel":
-        with np.load(path, allow_pickle=False) as data:
-            return cls(values=data["values"], grid=data["grid"],
-                       ids=[str(s) for s in data["ids"]])
+        """Read ``to_npz``'s archive.  A file that is not a zip archive, a
+        damaged archive, a missing ``values``, ``grid`` or ``ids`` array, an
+        object array and a non-numeric ``values`` or ``grid`` are
+        DataErrors naming the file."""
+        keys = ("values", "grid", "ids")
+        if not zipfile.is_zipfile(path):
+            raise DataError(f"{path} is not an npz (zip) archive")
+        # zipfile, zlib and numpy's header parser each raise their own kinds
+        # of error on a damaged archive
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                arrays = {k: data[k] for k in keys if k in data}
+        except Exception as exc:
+            raise DataError(f"{path}: cannot read its arrays: {exc}") from None
+        missing = [k for k in keys if k not in arrays]
+        if missing:
+            raise DataError(f"{path} has no {' or '.join(missing)} array")
+        values, grid, ids = (arrays[k] for k in keys)
+        for name, a in (("values", values), ("grid", grid)):
+            if a.dtype.kind not in "biuf":
+                raise DataError(f"{path}: {name} must be numeric; got dtype "
+                                f"{a.dtype}")
+        if ids.ndim != 1:
+            raise DataError(f"{path}: ids must be one-dimensional")
+        return cls(values=values, grid=grid, ids=[str(s) for s in ids])
 
 
 def read_price_csv(path):

@@ -36,7 +36,8 @@ warm-started gamma grids together, one batched solve and one set of
 whole-array summary products per grid index.  ``fit_row`` is its one-row,
 one-point call.  Fixed-gamma ``pipeline.fit_rows`` still calls ``fit_row``
 once per row, because the benchmark counts fits by wrapping ``fit_row``.
-A fit keeps only the original-scale blocks Psi = D^{-1} X, from which
+A fit keeps only the original-scale blocks Psi_k = D_k^{-1} X_k, one product
+per (q_k, q_k) block of ``DesignSet.roots_inv``, from which
 ``standardized_coeffs`` recovers X for the KKT check.
 """
 
@@ -61,15 +62,17 @@ STALL_RTOL = 1e-12
 
 @dataclass
 class DesignSet:
-    """Responses and the standardized lagged design; ``gram`` and
+    """Responses and the standardized lagged design: block b of ``design``
+    (columns ``offsets[b]:offsets[b+1]``, lag-major) is the lagged scores V_b
+    times ``roots_inv[b]`` = (V_b^T V_b / (n - L))^{-1/2}.  ``gram`` and
     ``step_size`` are derived from ``design`` on first use."""
 
     n: int
     L: int
-    responses: list            # j -> (n-L, q_j) scores at times L+1..n
-    unstandardize: np.ndarray  # (r, r) block diagonal of the D^{-1}
-    design: np.ndarray         # (n-L, r) standardized stacked predictors
-    offsets: np.ndarray        # (p*L + 1,) block row offsets
+    responses: list       # j -> (n-L, q_j) scores at times L+1..n
+    roots_inv: list       # b -> (q_b, q_b) D_b^{-1}, in offsets order
+    design: np.ndarray    # (n-L, r) standardized stacked predictors
+    offsets: np.ndarray   # (p*L + 1,) block row offsets
 
     @property
     def p(self) -> int:
@@ -168,23 +171,18 @@ def build_design(kl_models: list[KLModel], L: int) -> DesignSet:
                 f"n-L={n_eff} rows at lag order L={L}; its score Gram needs "
                 f"n >= L + q = {L + m.q}")
     scores = [m.scores for m in kl_models]
-    roots_inv, cols = [], []
-    for h in range(1, L + 1):
-        for k, s in enumerate(scores):
-            V = s[L - h: n - h]
-            Dinv = sym_inv_sqrt(V.T @ V / n_eff, f"score Gram of variable {k} "
-                                f"is singular; use a smaller q for it")
-            roots_inv.append(Dinv)
-            cols.append(V @ Dinv)
-
-    design = np.concatenate(cols, axis=1)
-    sizes = [c.shape[1] for c in cols]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    unstandardize = np.zeros((offsets[-1], offsets[-1]))
-    for a, b, Dinv in zip(offsets[:-1], offsets[1:], roots_inv):
-        unstandardize[a:b, a:b] = Dinv
+    offsets = np.cumsum([0] + [m.q for m in kl_models] * L, dtype=np.int64)
+    design = np.empty((n_eff, offsets[-1]))
+    roots_inv = []
+    for b, (a, e) in enumerate(zip(offsets[:-1], offsets[1:])):
+        h, k = divmod(b, len(scores))  # block b is lag h + 1 of variable k
+        V = scores[k][L - h - 1: n - h - 1]
+        Dinv = sym_inv_sqrt(V.T @ V / n_eff, f"score Gram of variable {k} "
+                            f"is singular; use a smaller q for it")
+        roots_inv.append(Dinv)
+        design[:, a:e] = V @ Dinv
     return DesignSet(n=n, L=L, responses=[s[L:] for s in scores],
-                     unstandardize=unstandardize, design=design, offsets=offsets)
+                     roots_inv=roots_inv, design=design, offsets=offsets)
 
 
 def group_soft_threshold(Z: np.ndarray, tau: float, offsets=None) -> np.ndarray:
@@ -512,23 +510,25 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
     Y = np.concatenate(responses, axis=1)
     hmat = design.design.T @ Y
     ynorm_sq = np.array([float(np.sum(Y * Y)) for Y in responses])
+    o = design.offsets
     paths = [[] for _ in rows]
     x0 = None
     for gammas in grids.T:
-        info = block_fista_gram(design.gram, hmat, ynorm_sq, design.offsets,
-                                gammas, design.step_size, tol, max_iter, x0,
+        info = block_fista_gram(design.gram, hmat, ynorm_sq, o, gammas,
+                                design.step_size, tol, max_iter, x0,
                                 col_offsets=col_offsets, row_ids=rows)
         x0 = info.x
-        # one product each gives every row's blocks and residuals; the
-        # ||V Psi||^2 column sums stay a per-row einsum, as in a lone row's
-        # fit, so that fixed-gamma fits stay bit-identical
-        psi = design.unstandardize @ x0
+        # Psi_k = D_k^{-1} X_k block by block, then every row's residuals in
+        # one product; the ||V Psi||^2 column sums stay a per-row einsum, as
+        # in a lone row's fit, so that fixed-gamma fits stay bit-identical
+        psi = np.empty_like(x0)
+        for a, e, Dinv in zip(o[:-1], o[1:], design.roots_inv):
+            psi[a:e] = Dinv @ x0[a:e]
         resid = Y - design.design @ x0
         sq = resid * resid
         for b, (row, lo, hi) in enumerate(zip(rows, col_offsets,
                                               col_offsets[1:])):
-            vpsi_sq = design.n_eff * block_sq_norms(x0[:, lo:hi],
-                                                    design.offsets[:-1])
+            vpsi_sq = design.n_eff * block_sq_norms(x0[:, lo:hi], o[:-1])
             rss = float(np.sum(sq[:, lo:hi]))
             df = df_from_contributions(
                 vpsi_sq, design.block_sizes() * (hi - lo), gammas[b])
@@ -537,7 +537,7 @@ def regularization_path(design: DesignSet, j, gamma_grid=None,
             # whole array alive
             paths[b].append(FitResult(
                 j=row, gamma=float(gammas[b]),
-                psi_stacked=psi[:, lo:hi].copy(), offsets=design.offsets,
+                psi_stacked=psi[:, lo:hi].copy(), offsets=o,
                 p=design.p, iterations=int(info.row_iterations[b]),
                 converged=bool(info.row_converged[b]), rss=rss,
                 vpsi_sq=vpsi_sq, df=df, aic=n_log_rss + 2.0 * df,
@@ -553,12 +553,12 @@ def best_fit(path: list, criterion: str = "bic") -> FitResult:
 
 def standardized_coeffs(design: DesignSet, fit: FitResult) -> np.ndarray:
     """The standardized solution X = D Psi of a row fit: block k solves
-    against the diagonal block D_k^{-1} of ``design.unstandardize``, so a
-    zero block stays exactly zero."""
+    against ``design.roots_inv[k]`` = D_k^{-1}, so a zero block stays
+    exactly zero."""
     o = design.offsets
     return np.concatenate([
-        np.linalg.solve(design.unstandardize[a:b, a:b], fit.psi_stacked[a:b])
-        for a, b in zip(o[:-1], o[1:])])
+        np.linalg.solve(Dinv, fit.psi_stacked[a:b])
+        for a, b, Dinv in zip(o[:-1], o[1:], design.roots_inv)])
 
 
 def kkt_residuals(design: DesignSet, fit: FitResult) -> tuple[float, float]:

@@ -303,9 +303,10 @@ def path_rows(design, grids, tol=1e-8, max_iter=10000, warm_starts=None):
 def fit_result_loop(design, j, gamma, X, iterations, converged):
     """Row j's solution X with its selection summaries, one row at a time:
     the package's per-row summary before a path index's rows were summarized
-    together.  The effective degrees of freedom count each selected block
-    as one plus the shrinkage fraction ||V Psi||^2 / (||V Psi||^2 + gamma)
-    of its other q_j q_k - 1 parameters; the criteria are
+    together.  Psi_k is D_k^{-1} X_k, block by block.  The effective
+    degrees of freedom count each selected block as one plus the shrinkage
+    fraction ||V Psi||^2 / (||V Psi||^2 + gamma) of its other q_j q_k - 1
+    parameters; the criteria are
     N log(max(RSS, 1e-300)) + kappa df with N = (n - L) q_j and kappa = 2
     (AIC) or log n (BIC)."""
     from fvar.solver import FitResult
@@ -321,8 +322,11 @@ def fit_result_loop(design, j, gamma, X, iterations, converged):
         shrink = np.where(active, vpsi_sq / (vpsi_sq + gamma), 0.0)
     df = float(active.sum()) + float(np.sum((sizes - 1.0) * shrink))
     n_obs = design.n_eff * Y.shape[1]
+    o = design.offsets
+    psi = np.concatenate([Dinv @ X[lo:hi] for lo, hi, Dinv in
+                          zip(o, o[1:], design.roots_inv)])
     return FitResult(
-        j=j, gamma=gamma, psi_stacked=design.unstandardize @ X,
+        j=j, gamma=gamma, psi_stacked=psi,
         offsets=design.offsets, p=design.p, iterations=iterations,
         converged=converged, rss=rss, vpsi_sq=vpsi_sq, df=df,
         aic=n_obs * np.log(max(rss, 1e-300)) + 2.0 * df,

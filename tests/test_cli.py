@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ def fit_dir(sim_dir, tmp_path_factory):
 
 
 class TestFit:
+    def test_tiny_curve_scale_is_not_singular(self, tmp_path):
+        # curves 1e-7 times their simulated size give score Grams of order
+        # 1e-14, which the singularity floor once refused for every q
+        sim = tmp_path / "sim"
+        assert run("simulate", "--n", 60, "--p", 6, "--model", "banded",
+                   "--bandwidth", 1, "--grid-size", 24, "--basis-dim", 4,
+                   "--seed", 5, "--out", sim) == 0
+        panel = CurvePanel.from_npz(sim / "panel.npz")
+        small = tmp_path / "small.npz"
+        CurvePanel(values=1e-7 * panel.values, grid=panel.grid,
+                   ids=panel.ids).to_npz(small)
+        assert run("fit", "--panel", small, "--basis-dim", 8, "--q", 3,
+                   "--eta", 1e-4, "--n-gammas", 6, "--out", tmp_path / "fit") == 0
+
     def test_outputs_exist(self, fit_dir):
         for name in ("kernels.json", "fits.json", "ic_table.csv",
                      "hs_norms.csv", "fpca_selection.csv", "manifest.json"):
@@ -632,6 +647,99 @@ class TestOutDir:
                  "{kernels}": fit_dir / "kernels.json"}
         out = tmp_path / "out"
         assert run(*(paths.get(a, a) for a in argv), "--out", out) == 2
+        assert not out.exists()
+
+
+VALUES, GRID, IDS = np.ones((6, 2, 5)), np.linspace(0, 1, 5), np.array(["a", "b"])
+
+
+def _npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, VALUES)
+
+
+def _edited(path, edit):
+    """A valid panel archive with ``edit`` applied to its bytes."""
+    np.savez_compressed(path, values=VALUES, grid=GRID, ids=IDS)
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def _garble_first_member(data):
+    """Flip 8 bytes inside the compressed data of the first member, which
+    starts after the 30-byte local header, the name and the extra field."""
+    start = (30 + int.from_bytes(data[26:28], "little")
+             + int.from_bytes(data[28:30], "little") + 10)
+    return (data[:start] + bytes(b ^ 0x5A for b in data[start:start + 8])
+            + data[start + 8:])
+
+
+def _unknown_method(data):
+    """Compression method 99 in the first central-directory entry."""
+    at = data.index(b"PK\x01\x02") + 10
+    return data[:at] + (99).to_bytes(2, "little") + data[at + 2:]
+
+
+def _unparsable_header(path):
+    """An archive whose values.npy header is cut inside a parenthesis."""
+    header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (6, 2,\n"
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("values.npy", b"\x93NUMPY\x01\x00"
+                         + len(header).to_bytes(2, "little") + header)
+
+
+# malformed panel files by name; each writes its file to the given path
+MALFORMED_PANELS = {
+    "no-ids": lambda p: np.savez(p, values=VALUES, grid=GRID),
+    "no-values": lambda p: np.savez(p, grid=GRID, ids=IDS),
+    "object-ids": lambda p: np.savez(p, values=VALUES, grid=GRID,
+                                     ids=np.array(["a", 1], dtype=object)),
+    "text-values": lambda p: np.savez(p, values=np.full(VALUES.shape, "x"),
+                                      grid=GRID, ids=IDS),
+    "scalar-ids": lambda p: np.savez(p, values=VALUES, grid=GRID,
+                                     ids=np.array("ab")),
+    "not-a-zip": lambda p: p.write_text("t,variable,grid_index,value\n"),
+    "empty": lambda p: p.write_bytes(b""),
+    "npy-array": _npy,
+    "truncated": lambda p: _edited(p, lambda data: data[:100]),
+    "garbled-member": lambda p: _edited(p, _garble_first_member),
+    "unknown-compression": lambda p: _edited(p, _unknown_method),
+    "unparsable-header": _unparsable_header,
+    "renamed-member": lambda p: _edited(
+        p, lambda data: data.replace(b"values.npy", b"valuez.npy")),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["stability", "--a-values", "0.1,x"],
+        ["stability", "--b-values", "0,0.5,y"],
+        ["verify-concentration", "--ns", "250,abc"],
+        ["fit", "--panel", "{panel}", "--q-grid", "4,x"],
+        ["fit", "--panel", "{panel}", "--q-grid", "4,5.5"],
+        ["fit", "--panel", "{panel}", "--eta-grid", "0,1e-4,zz"],
+        ["select", "--panel", "{panel}", "--q-grid", "3,?"],
+        ["path", "--panel", "{panel}", "--eta-grid", "nan?"],
+        ["fit", "--panel", "missing.npz"],
+        ["fit", "--panel", "missing.csv"],
+    ] + [["fit", "--panel", f"{{{name}}}"] for name in MALFORMED_PANELS],
+        ids=lambda argv: " ".join(str(a).strip("{}") for a in argv))
+    def test_malformed_input_is_an_error_message(self, sim_dir, tmp_path,
+                                                 capsys, argv):
+        # the error names the list flag, or else the panel file
+        argv = list(argv)
+        named = next((a for a in argv if a.startswith("--") and a != "--panel"),
+                     None)
+        if argv[1] == "--panel" and argv[2] != "{panel}":
+            name = argv[2].strip("{}")
+            argv[2] = named = tmp_path / (name if "." in name else f"{name}.npz")
+            if name in MALFORMED_PANELS:
+                MALFORMED_PANELS[name](argv[2])
+        argv = [sim_dir / "panel.npz" if a == "{panel}" else a for a in argv]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(named) in err
         assert not out.exists()
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from fvar.errors import ConfigError, DataError, NonstationaryError, NumericalError
 from fvar.moments import (operator_norm_var1_kernel, stability_measure_var1,
-                          stability_sweep, var1_spectral_density,
-                          var1_stationary_cov)
+                          stability_sweep, sym_inv_sqrt,
+                          var1_spectral_density, var1_stationary_cov)
 
 from oracles import lyapunov_series, stability_grid_tops, stability_loop
 
@@ -206,6 +206,28 @@ class TestStabilityMeasure:
     def test_numpy_integer_grid_size_accepted(self):
         rep = stability_measure_var1(0.5 * np.eye(2), np.eye(2), np.int64(65))
         assert rep.value == stability_measure_var1(0.5 * np.eye(2), np.eye(2), 65).value
+
+    def test_noise_scale_cannot_make_the_covariance_singular(self):
+        # the measure is invariant under scaling the noise; the singularity
+        # floor is relative to the covariance's largest eigenvalue
+        C = np.array([[0.5, 0.3], [0.0, 0.5]])
+        want = stability_measure_var1(C, np.eye(2), 64).value
+        assert want == pytest.approx(4.093816284435, rel=1e-12)
+        for scale in (1e-11, 1e-13, 1e-30):
+            rep = stability_measure_var1(C, scale * np.eye(2), 64)
+            assert rep.value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
+    def test_sym_inv_sqrt_floor_is_scale_free(self, scale):
+        np.testing.assert_allclose(sym_inv_sqrt(scale * np.diag([4.0, 1.0]),
+                                                "singular"),
+                                   np.diag([0.5, 1.0]) / np.sqrt(scale),
+                                   rtol=1e-14)
+        for low in (1e-13, 0.0, -1.0):
+            with pytest.raises(NumericalError, match="singular"):
+                sym_inv_sqrt(scale * np.diag([1.0, low]), "singular")
+        with pytest.raises(NumericalError, match="singular"):
+            sym_inv_sqrt(np.zeros((2, 2)), "singular")
 
 
 ORACLE_GRIDS = [64, 65, 1024, 1025]

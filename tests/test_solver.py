@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from fvar.basis import BasisSpec, evaluate_basis
 from fvar.errors import ConfigError, DataError, NumericalError
@@ -64,7 +65,8 @@ class TestBuildDesign:
         design = build_design([kl_from_scores(s) for s in scores], L=1)
         np.testing.assert_array_equal(design.responses[0][:, 0], np.arange(1, 9))
         raw = np.column_stack([np.arange(0, 8), np.arange(0, 8) + 100.0])
-        np.testing.assert_allclose(design.design, raw @ design.unstandardize,
+        np.testing.assert_allclose(design.design,
+                                   raw @ block_diag(*design.roots_inv),
                                    rtol=1e-13)
 
     def test_two_lags_alignment(self):
@@ -73,24 +75,25 @@ class TestBuildDesign:
         design = build_design([kl_from_scores(scores)], L=2)
         np.testing.assert_array_equal(design.responses[0][:, 0], np.arange(2, 10))
         raw = np.column_stack([np.arange(1, 9), np.arange(0, 8.0)])
-        np.testing.assert_allclose(design.design, raw @ design.unstandardize,
+        np.testing.assert_allclose(design.design,
+                                   raw @ block_diag(*design.roots_inv),
                                    rtol=1e-13)
 
     @pytest.mark.parametrize("L", [1, 2])
     def test_design_is_lagged_scores_unstandardized(self, L):
-        # full (q_k, q_k) blocks of D^{-1}: a diagonal-only unstandardize
-        # would break this on the q_k > 1 blocks
+        # full (q_k, q_k) blocks of D^{-1}: diagonal-only blocks would break
+        # this on the q_k > 1 blocks
         kl = mixed_block_models()
         design = build_design(kl, L)
-        np.testing.assert_allclose(design.design,
-                                   lagged_scores(kl, L) @ design.unstandardize,
-                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(
+            design.design, lagged_scores(kl, L) @ block_diag(*design.roots_inv),
+            rtol=1e-10, atol=1e-12)
 
     def test_scalar_standardizer(self):
         rng = np.random.default_rng(0)
         s = rng.standard_normal((40, 1))
         design = build_design([kl_from_scores(s)], L=1)
-        assert 1.0 / design.unstandardize[0, 0] == pytest.approx(
+        assert 1.0 / block_diag(*design.roots_inv)[0, 0] == pytest.approx(
             np.sqrt(s[:-1, 0] @ s[:-1, 0] / 39))
 
     def test_standardized_blocks_orthonormal(self):
@@ -109,7 +112,7 @@ class TestBuildDesign:
         model = fit_regularized_fpca(curves, grid, BasisSpec("bspline", 8),
                                      q=3, eta=0.0)
         design = build_design([model], L=1)
-        D = np.linalg.inv(design.unstandardize)
+        D = np.linalg.inv(block_diag(*design.roots_inv))
         off = np.abs(D - np.diag(np.diag(D))).max()
         # dropping one time point from the exactly-diagonal full-sample Gram
         # leaves off-diagonals of order lambda/n
@@ -851,17 +854,59 @@ class TestDerivedValues:
                                       design.design.T @ design.design)
 
     @pytest.mark.parametrize("L", [1, 2])
-    def test_unstandardize_is_scipys_block_diag(self, L):
-        from scipy.linalg import block_diag
+    def test_roots_inv_are_the_score_grams_inverse_square_roots(self, L):
+        from scipy.linalg import sqrtm
         models = mixed_block_models()
         design = build_design(models, L)
-        n_eff = design.n_eff
-        blocks = []
-        for h in range(1, L + 1):  # lag-major, as the design's columns
-            for m in models:
-                V = m.scores[L - h: m.n - h]
-                blocks.append(sym_inv_sqrt(V.T @ V / n_eff, "singular"))
-        np.testing.assert_array_equal(design.unstandardize, block_diag(*blocks))
+        # lag-major, as the design's columns
+        lagged = [m.scores[L - h: m.n - h]
+                  for h in range(1, L + 1) for m in models]
+        assert len(design.roots_inv) == len(lagged) == design.n_blocks
+        for V, Dinv, q in zip(lagged, design.roots_inv, design.block_sizes()):
+            gram = V.T @ V / design.n_eff
+            assert Dinv.shape == (q, q) == gram.shape
+            np.testing.assert_array_equal(Dinv, sym_inv_sqrt(gram, "singular"))
+            np.testing.assert_allclose(Dinv, np.linalg.inv(sqrtm(gram)),
+                                       rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("L", [1, 2])
+    def test_design_blocks_are_lagged_scores_times_roots_inv(self, L):
+        models = mixed_block_models()
+        design = build_design(models, L)
+        o = design.offsets
+        lagged = [m.scores[L - h: m.n - h]
+                  for h in range(1, L + 1) for m in models]
+        for b, (V, Dinv) in enumerate(zip(lagged, design.roots_inv)):
+            np.testing.assert_array_equal(design.design[:, o[b]:o[b + 1]],
+                                          V @ Dinv)
+
+    @pytest.mark.parametrize("build", [lambda: mixed_block_design(L=2),
+                                       desk_design], ids=["mixed-L2", "desk-p20"])
+    def test_psi_blocks_are_roots_inv_times_x_with_positive_zeros(self, build):
+        design = build()
+        o = design.offsets
+        paths = regularization_path(design, range(design.p), n_gammas=6)
+        hmat, ynorm_sq, col_offsets = stacked_rows(design)
+        x, zeros = None, 0
+        for i, gammas in enumerate(np.array([[f.gamma for f in path]
+                                             for path in paths]).T):
+            x = block_fista_gram(design.gram, hmat, ynorm_sq, o, gammas,
+                                 design.step_size, x0=x,
+                                 col_offsets=col_offsets).x
+            # one product per block over every row's columns, as the path
+            # makes it
+            want = [Dinv @ x[lo:hi] for lo, hi, Dinv in
+                    zip(o, o[1:], design.roots_inv)]
+            for fit, lo, hi in zip((path[i] for path in paths), col_offsets,
+                                   col_offsets[1:]):
+                for b, block in enumerate(want):
+                    psi = fit.psi_stacked[o[b]:o[b + 1]]
+                    np.testing.assert_array_equal(psi, block[:, lo:hi])
+                    if not fit.active()[b]:
+                        assert not np.any(psi) and not np.signbit(psi).any()
+                        zeros += 1
+        # the first index is all zeros, the last has active blocks
+        assert 0 < zeros < len(paths[0]) * design.p * design.n_blocks
 
     def test_replaced_design_derives_its_own_gram_and_step(self):
         design = desk_design()
