@@ -32,8 +32,8 @@ import numpy as np
 
 from .basis import BasisSpec, GramPair, evaluate_basis, gram_matrices
 from .errors import ConfigError, DataError, NumericalError
+from .moments import positive_eigh
 
-_RANK_TOL = 1e-12
 EIGEN_FLOOR = 1e-2
 
 
@@ -132,10 +132,8 @@ def _whiten(grams: GramPair, eta: float):
     if not 0 <= eta < np.inf:
         raise ConfigError("smoothing parameter must be finite and "
                           f"nonnegative; got {float(eta)!r}")
-    M = grams.J + eta * grams.Q
-    w, P = np.linalg.eigh(0.5 * (M + M.T))
-    if w.min() <= _RANK_TOL * max(w.max(), 1.0):
-        raise NumericalError("J + eta*Q is numerically rank deficient")
+    w, P = positive_eigh(grams.J + eta * grams.Q,
+                         "J + eta*Q is numerically rank deficient")
     return P, w ** -0.5
 
 

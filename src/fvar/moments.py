@@ -63,7 +63,7 @@ def var1_stationary_cov(C: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
     Solves S = C S C^T + noise_cov, i.e. S = sum_{h>=0} C^h N (C^h)^T, by
     repeated squaring: S <- S + A S A^T with A <- A A, until an update is
     at most ``_DOUBLING_TOL`` of S in Frobenius norm; ``NumericalError``
-    after ``_MAX_DOUBLINGS`` updates.
+    after ``_MAX_DOUBLINGS`` updates, or when S or its norm overflows.
     """
     C = np.asarray(C, dtype=float)
     N = np.asarray(noise_cov, dtype=float)
@@ -71,13 +71,19 @@ def var1_stationary_cov(C: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
         raise NonstationaryError("spectral radius >= 1; no stationary solution")
     S = N.copy()
     A = C.copy()
-    for _ in range(_MAX_DOUBLINGS):
-        update = A @ S @ A.T
-        S = S + update
-        A = A @ A
-        if (np.linalg.norm(update, "fro")
-                <= _DOUBLING_TOL * max(np.linalg.norm(S, "fro"), 1e-300)):
-            return 0.5 * (S + S.T)
+    with np.errstate(over="raise"):
+        try:
+            for _ in range(_MAX_DOUBLINGS):
+                update = A @ S @ A.T
+                S = S + update
+                A = A @ A
+                if (np.linalg.norm(update, "fro") <= _DOUBLING_TOL
+                        * max(np.linalg.norm(S, "fro"), 1e-300)):
+                    return 0.5 * (S + S.T)
+        except FloatingPointError:
+            raise NumericalError(
+                "the stationary covariance, or its Frobenius norm, overflows "
+                "the floating-point range; rescale C or noise_cov") from None
     raise NumericalError("Lyapunov doubling iteration did not converge")
 
 
@@ -149,14 +155,21 @@ def var1_spectral_density(C: np.ndarray, noise_cov: np.ndarray,
     return 0.5 * (f + f.conj().T)
 
 
-def sym_inv_sqrt(S: np.ndarray, singular: str) -> np.ndarray:
-    """The inverse square root of the symmetric part of S; a
-    ``NumericalError`` with the message ``singular`` when it is
-    numerically singular: its smallest eigenvalue is at most 1e-12 of its
-    largest, whatever the scale of S."""
+def positive_eigh(S: np.ndarray, singular: str):
+    """(w, V) = ``eigh`` of the symmetric part of S; a ``NumericalError``
+    with the message ``singular`` when it is numerically singular: its
+    smallest eigenvalue is at most 1e-12 of its largest, whatever the scale
+    of S."""
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     if w.min() <= 1e-12 * w.max():
         raise NumericalError(singular)
+    return w, V
+
+
+def sym_inv_sqrt(S: np.ndarray, singular: str) -> np.ndarray:
+    """The inverse square root of the symmetric part of S, which
+    ``positive_eigh`` checks."""
+    w, V = positive_eigh(S, singular)
     return (V * w ** -0.5) @ V.T
 
 
@@ -261,6 +274,8 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
     (1 - ``_ARC_RTOL``) g.  Every skipped point lies below g, and every
     evaluated one goes through the same arithmetic as a full-grid pass, so
     the value and ``argmax_theta`` equal those of evaluating the whole grid.
+    A level-set solve that overflows, for a noise_cov far below unit scale,
+    is a ``NumericalError``.
     """
     if (not isinstance(theta_grid_size, (int, np.integer))
             or isinstance(theta_grid_size, bool) or theta_grid_size < 64):
@@ -296,7 +311,14 @@ def stability_measure_var1(C: np.ndarray, noise_cov: np.ndarray,
     if g <= 0 or tops[low] >= g * (1.0 - _ARC_RTOL):
         evaluate(np.arange(size))  # flat at the coarse points
     else:
-        crossings = _level_crossings(C, N, left.T @ left, g, thetas[low])
+        with np.errstate(over="raise"):
+            try:
+                crossings = _level_crossings(C, N, left.T @ left, g,
+                                             thetas[low])
+            except FloatingPointError:
+                raise NumericalError(
+                    "the level-set solve overflows the floating-point range; "
+                    "rescale noise_cov") from None
         cuts = np.searchsorted(thetas, crossings)
         bounds = np.unique(np.r_[0, cuts, size])
         starts, ends = bounds[:-1], bounds[1:]
@@ -325,8 +347,8 @@ def stability_sweep(a_values, b_values, sigma: float = 1.0,
     (a, b, operator_norm, stability).
 
     The inputs are checked before any solve: both value lists nonempty and
-    finite, sigma finite and positive, and every pair stationary (the
-    spectral radius of C is |a|)."""
+    finite, sigma positive and at most 1e154, so that sigma**2 is finite,
+    and every pair stationary (the spectral radius of C is |a|)."""
     for name, values in (("a_values", a_values), ("b_values", b_values)):
         if len(values) == 0:
             raise ConfigError(f"{name} is empty; give at least one value")
@@ -336,6 +358,9 @@ def stability_sweep(a_values, b_values, sigma: float = 1.0,
             raise ConfigError(f"{name} must be finite; got {list(values)}")
     if not sigma > 0:
         raise ConfigError(f"sigma must be positive; got {sigma}")
+    if sigma > 1e154:
+        raise ConfigError(f"sigma must be at most 1e154, where sigma**2 "
+                          f"overflows; got {sigma}")
     for a in a_values:
         if abs(a) >= 1:
             raise ConfigError(

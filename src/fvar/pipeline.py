@@ -2,7 +2,8 @@
 
 Everything runs on the calling thread.  Stage 1 (``fpca.fpca_panel``,
 re-exported here) handles the whole panel in stacked arrays; the
-fixed-gamma row fits loop over the variables; a regularization path makes
+fixed-gamma row fits loop over the variables, one ``fit_row`` each, because
+the benchmark counts fits by wrapping ``fit_row``; a regularization path makes
 one batched solve per path index for every row
 (``solver.regularization_path``).  ``fpca_panel`` and ``sweep_path``
 still accept a ``threads`` keyword, and the CLI a ``--threads`` flag, that

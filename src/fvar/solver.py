@@ -31,14 +31,12 @@ gamma, so their coefficients are stacked side by side as the columns of one
 - a row that has converged is frozen and its columns are compacted out of
   the working arrays.
 
-``regularization_path`` is the one fit driver: it walks the rows'
-warm-started gamma grids together, one batched solve and one set of
-whole-array summary products per grid index.  ``fit_row`` is its one-row,
-one-point call.  Fixed-gamma ``pipeline.fit_rows`` still calls ``fit_row``
-once per row, because the benchmark counts fits by wrapping ``fit_row``.
-A fit keeps only the original-scale blocks Psi_k = D_k^{-1} X_k, one product
-per (q_k, q_k) block of ``DesignSet.roots_inv``, from which
-``standardized_coeffs`` recovers X for the KKT check.
+``regularization_path`` is the one fit driver, one batched solve per index
+of the rows' warm-started gamma grids; ``fit_row`` is its one-row,
+one-point call.  A fit keeps only Psi_k = D_k^{-1} X_k.  Psi and the
+residuals are whole-array products, and the ||V Psi||^2, RSS and df
+summaries a loop over the rows, so that they stay bit-identical to a lone
+row's fit.  ``standardized_coeffs`` recovers X for the KKT check.
 """
 
 from __future__ import annotations
@@ -296,6 +294,7 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
     # z blocks at or below tau shrink to zero: 1 - tau/max(norm, tau) = 0;
     # with tau = 0 nothing shrinks and the floor only keeps 0/0 out
     floor = np.where(tau > 0.0, tau, 1.0)
+    g_floor = 1e-12 * np.where(yn > 0.0, yn, 1.0)  # |g| floor, as ||Y||^2
 
     def layout():
         """Column starts of the active rows, and each column's row."""
@@ -350,7 +349,7 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
         moved = restarted | rejected
         # restarts re-derive the previous proximal point on the next pass,
         # so their zero objective change carries no convergence signal
-        rel = np.abs(g_prev - g_cand) / np.maximum(np.abs(g_prev), 1e-12)
+        rel = np.abs(g_prev - g_cand) / np.maximum(np.abs(g_prev), g_floor)
         done = (rel <= tol) & ~(skip_check | moved)
         x_ext = xt_new + omega * advance
         gx_ext = gxt_new + omega * (gxt_new - gxt)
@@ -395,9 +394,9 @@ def block_fista_gram(gram: np.ndarray, hmat: np.ndarray, ynorm_sq, offsets,
             x, gx, xt, gxt, ht, h2, cols = (a[live] for a in
                                             (x, gx, xt, gxt, ht, h2, cols))
             active, theta, g_prev, pure_step, skip_check, tau, floor, \
-                gamma, yn = (v[keep] for v in (
+                g_floor, gamma, yn = (v[keep] for v in (
                     active, theta, g_prev, pure_step, skip_check, tau, floor,
-                    gamma, yn))
+                    g_floor, gamma, yn))
             if active.size == 0:
                 break
             starts, col_row = layout()
@@ -586,35 +585,37 @@ def kkt_residuals(design: DesignSet, fit: FitResult) -> tuple[float, float]:
 class KernelEstimate:
     """Estimated transition kernels in the eigenfunction bases.
 
-    ``lags`` holds one read-only (sum q, sum q) array per lag, its rows and
-    columns split by variable at ``offsets``.  Row j's blocks sit side by
-    side in column slice j, so ``lags[h-1][k slice, j slice]`` is the
-    (q_k, q_j) block Psi_jk^(h), and the kernel is
-    A_jk^(h)(u, v) = phi_k(v)^T Psi_jk^(h) phi_j(u).  ``psi[h-1][j][k]`` is
-    a view of that block, made on each access of ``psi``.
-    """
+    ``columns[j]`` is row j's read-only array, kept as given (a fit's
+    ``psi_stacked``): its rows (h-1) sum q + offsets[k:k+2] hold the block
+    Psi_jk^(h) of A_jk^(h)(u, v) = phi_k(v)^T Psi_jk^(h) phi_j(u).  The view
+    ``psi[h-1][j][k]`` of each block, and ``lags``, the (L, sum q, sum q)
+    stack with row j in column slice j, are made on each access."""
 
     kl_models: list
-    lags: np.ndarray                                # (L, sum q, sum q)
+    columns: list                                   # j -> (L sum q, q_j)
     offsets: np.ndarray = field(init=False)         # (p + 1,)
     hs: np.ndarray = field(init=False, repr=False)  # (L, p, p)
 
     def __post_init__(self):
         self.offsets = np.cumsum([0] + [m.q for m in self.kl_models])
-        if self.lags.shape[1:] != (self.offsets[-1],) * 2:
-            raise ConfigError(f"psi arrays of shape {self.lags.shape[1:]} do "
-                              "not match the components of the KL models")
-        self.lags.flags.writeable = False
-        # squares summed over each column block j, then each row block k:
-        # sq[h, k, j] = ||Psi_jk^(h)||_F^2
-        starts = self.offsets[:-1]
-        sq = np.add.reduceat(np.add.reduceat(self.lags * self.lags, starts,
-                                             axis=2), starts, axis=1)
+        q, widths = self.offsets[-1], np.diff(self.offsets).tolist()
+        shapes = [c.shape for c in self.columns]
+        height = shapes[0][0] if shapes else 0
+        if not height or height % q or shapes != [(height, w) for w in widths]:
+            raise ConfigError(f"psi columns of shapes {shapes} do not match "
+                              f"the KL models' components {widths}")
+        for c in self.columns:
+            c.flags.writeable = False
+        # sq[h, k, j] = ||Psi_jk^(h)||_F^2, from reduceat's in-order sums
+        row_sq = np.hstack([np.add.reduceat(c * c, [0], axis=1)
+                            for c in self.columns])
+        sq = np.add.reduceat(row_sq.reshape(self.L, q, self.p),
+                             self.offsets[:-1], axis=1)
         self.hs = np.sqrt(sq).transpose(0, 2, 1)
 
     @property
     def L(self) -> int:
-        return len(self.lags)
+        return len(self.columns[0]) // int(self.offsets[-1])
 
     @property
     def p(self) -> int:
@@ -622,18 +623,20 @@ class KernelEstimate:
 
     @property
     def psi(self) -> list:
-        # not cached: kept on each of a path sweep's estimates, the views
-        # would take about as much memory as the lag arrays
+        # not cached: a path sweep's views would take as much memory as Psi
         o = self.offsets
-        return [[[lag[o[k]:o[k + 1], o[j]:o[j + 1]] for k in range(self.p)]
-                 for j in range(self.p)] for lag in self.lags]
+        return [[[c[h + o[k]:h + o[k + 1]] for k in range(self.p)]
+                 for c in self.columns] for h in o[-1] * np.arange(self.L)]
+
+    @property
+    def lags(self) -> np.ndarray:
+        return np.hstack(self.columns).reshape(self.L, self.offsets[-1], -1)
 
     def evaluate(self, h: int, j: int, k: int, u, v) -> np.ndarray:
-        o = self.offsets
-        phi_j = self.kl_models[j].eigenfunctions(u)
-        phi_k = self.kl_models[k].eigenfunctions(v)
-        block = self.lags[h - 1][o[k]:o[k + 1], o[j]:o[j + 1]]
-        return phi_j @ block.T @ phi_k.T
+        a = (h - 1) * self.offsets[-1] + self.offsets[k]
+        block = self.columns[j][a:a + self.kl_models[k].q]
+        return (self.kl_models[j].eigenfunctions(u) @ block.T
+                @ self.kl_models[k].eigenfunctions(v).T)
 
     def support(self) -> np.ndarray:
         return (self.hs > 0).any(axis=0)
@@ -657,27 +660,24 @@ class KernelEstimate:
 
 
 def _kernel_estimate(L: int, kl_models: list, psi: list) -> KernelEstimate:
-    """Estimate from nested blocks: ``psi[h-1][j][k]`` is row j's (q_k, q_j)
-    block."""
+    """Estimate from nested blocks, ``psi[h-1][j][k]`` = Psi_jk^(h)."""
     if len(psi) != L:
         raise DataError(f"psi has {len(psi)} lags, expected L={L}")
     try:
-        lags = np.array([np.hstack([np.vstack(row) for row in lag])
-                         for lag in psi], dtype=float)
+        rows = [[np.vstack(row, dtype=float) for row in lag] for lag in psi]
+        if len({r.shape[0] for lag in rows for r in lag}) != 1:
+            raise ValueError("rows of unequal heights, or none")
+        columns = [np.vstack(lags) for lags in zip(*rows, strict=True)]
     except ValueError as exc:
         raise DataError(f"psi blocks do not fit together: {exc}") from None
-    return KernelEstimate(kl_models=kl_models, lags=lags)
+    return KernelEstimate(kl_models=kl_models, columns=columns)
 
 
 def recover_kernels(fits: list[FitResult], kl_models: list[KLModel]) -> KernelEstimate:
-    """Assemble the functional estimates from the p row fits: row j's
-    ``psi_stacked`` is column slice j of the stacked lag arrays.  The fits
-    must cover each row 0..p-1 once."""
+    """The estimate whose column j is row j's ``psi_stacked`` itself."""
     fits = sorted(fits, key=lambda f: f.j)
     rows = [f.j for f in fits]
     if rows != list(range(len(kl_models))):
         raise ConfigError(f"need one fit for each of the {len(kl_models)} "
                           f"rows 0..{len(kl_models) - 1}; got rows {rows}")
-    stacked = np.hstack([f.psi_stacked for f in fits])
-    q = stacked.shape[1]
-    return KernelEstimate(kl_models=kl_models, lags=stacked.reshape(-1, q, q))
+    return KernelEstimate(kl_models, [f.psi_stacked for f in fits])

@@ -358,6 +358,16 @@ def hs_norms_loop(kernels):
                       for j in blocks] for lag in kernels.lags])
 
 
+def hs_stacked(kernels):
+    """(L, p, p) Frobenius norms of the blocks Psi_jk^(h) from the stacked
+    (L, sum q, sum q) lag arrays: the squares summed over each column block
+    j, then over each row block k, by two ``reduceat``s."""
+    lags, starts = kernels.lags, kernels.offsets[:-1]
+    sq = np.add.reduceat(np.add.reduceat(lags * lags, starts, axis=2), starts,
+                         axis=1)
+    return np.sqrt(sq).transpose(0, 2, 1)
+
+
 def fpca_components(delta, grams, q, eta):
     """The first q regularized FPCA components of the coefficient rows
     ``delta`` in whitened-eigenvalue order, from a fresh whitening and

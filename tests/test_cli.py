@@ -561,6 +561,8 @@ class TestStability:
         ("--sigma", "0", "sigma"), ("--sigma", "nan", "sigma"),
         ("--theta-grid", "32", "theta grid"), ("--a-values", "", "a_values"),
         ("--b-values", "", "b_values"), ("--sigma", "-1", "sigma"),
+        ("--sigma", "1e160", "sigma**2 overflows"),
+        ("--sigma", "1e200", "sigma**2 overflows"),
         ("--a-values", "0.5,1.0", "a_values: the (a, b) pair (1.0, 0.0)")])
     def test_bad_argument_is_config_error(self, tmp_path, capsys, flag, value, name):
         assert run("stability", flag, value, "--out", tmp_path) == 2
@@ -741,6 +743,22 @@ class TestInputErrors:
         assert err.startswith("error: ") and "Traceback" not in err
         assert str(named) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--a-values", "0.5", "--b-values", "1e154"],
+        ["--a-values", "0.5", "--b-values", "1e200"],
+        ["--a-values", "0.5", "--b-values", "1e300"],
+        ["--a-values", "-0.5", "--b-values", "1e300"],
+        ["--sigma", "1e-100"]], ids=" ".join)
+    def test_overflowing_stability_input_is_a_numerical_error(
+            self, tmp_path, capsys, flags):
+        # finite flags whose stationary covariance or level-set solve
+        # overflows; a sigma whose square overflows is TestStability's
+        out = tmp_path / "out"
+        assert run("stability", *flags, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "overflows" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestFlags:

@@ -123,6 +123,21 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             fit_regularized_fpca(curves, GRID, BasisSpec("fourier", 5), q=6, eta=0.0)
 
+    @pytest.mark.parametrize("length", [1e-10, 1e-12])
+    def test_short_domain_is_not_rank_deficient(self, length):
+        # J shrinks with the domain's length but keeps its condition number
+        # (28 here), so its singularity floor is relative to its largest
+        # eigenvalue: the fit is the unit-domain fit, rescaled
+        curves = np.random.default_rng(9).standard_normal((60, GRID.size))
+        ref = fit_regularized_fpca(curves, GRID, BasisSpec("bspline", 8), q=3)
+        model = fit_regularized_fpca(curves, length * GRID,
+                                     BasisSpec("bspline", 8, (0.0, length)), q=3)
+        np.testing.assert_allclose(model.eigenvalues, length * ref.eigenvalues,
+                                   rtol=1e-14)
+        want = np.sqrt(length) * ref.scores
+        np.testing.assert_allclose(model.scores, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
 
 class TestReconstruct:
     def test_full_rank_exact(self):

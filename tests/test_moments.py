@@ -79,6 +79,15 @@ class TestStationaryCov:
         with pytest.raises(NonstationaryError):
             var1_stationary_cov(np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("b, noise", [
+        (1e200, 1.0),   # the covariance overflows
+        (1e100, 1.0),   # it holds 1e200, but its Frobenius norm overflows
+        (0.5, 1e307)])
+    def test_overflow_is_a_numerical_error(self, b, noise):
+        C = np.array([[0.5, b], [0.0, 0.5]])
+        with pytest.raises(NumericalError, match="overflows"):
+            var1_stationary_cov(C, noise * np.eye(2))
+
 
 class TestSpectralDensity:
     def test_white_noise_flat(self):
@@ -353,7 +362,7 @@ class TestStabilitySweep:
         (dict(a_values=[np.nan]), "a_values"), (dict(b_values=[0.0, np.inf]), "b_values"),
         (dict(sigma=0.0), "sigma"), (dict(sigma=np.nan), "sigma"),
         (dict(a_values=[]), "a_values"), (dict(b_values=[]), "b_values"),
-        (dict(sigma=-1.0), "sigma"),
+        (dict(sigma=-1.0), "sigma"), (dict(sigma=1e160), r"sigma\*\*2 overflows"),
         (dict(a_values=[0.5, -1.2]), r"a_values: the \(a, b\) pair \(-1.2, 0.0\)")])
     def test_bad_arguments_rejected(self, kwargs, name):
         args = dict(a_values=[0.5], b_values=[0.0], sigma=1.0) | kwargs

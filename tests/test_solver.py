@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,18 +13,20 @@ from fvar.basis import BasisSpec, evaluate_basis
 from fvar.errors import ConfigError, DataError, NumericalError
 from fvar.fpca import KLModel, fit_regularized_fpca
 from fvar.moments import sym_inv_sqrt
-from fvar.pipeline import fit_rows, sweep_path
+from fvar.panel import CurvePanel
+from fvar.pipeline import fit_rows, fpca_panel, sweep_path
 from fvar.solver import (KernelEstimate, best_fit, block_fista_gram,
                          build_design, default_gamma_grid,
                          df_from_contributions, fit_row, gamma_max,
                          group_soft_threshold, kkt_residuals, recover_kernels,
                          regularization_path, standardized_coeffs)
-from fvar.vfar import gen_block_banded, simulate_coefficients
+from fvar.vfar import gen_block_banded, simulate, simulate_coefficients
 
 from helpers import (kl_from_scores, lagged_scores, oracle_design,
                      oracle_models, prefix_objectives)
 from oracles import (block_coordinate_descent, fista_row, fit_result_loop,
-                     group_objective, hs_norms_loop, kkt_loop, path_rows)
+                     group_objective, hs_norms_loop, hs_stacked, kkt_loop,
+                     path_rows)
 
 
 def fista_from_data(Y, B, gamma, offsets, step=None, **kwargs):
@@ -363,6 +366,11 @@ class TestMixedBlocks:
 
     @pytest.mark.parametrize("edit, match", [
         (lambda obj: obj["psi"][0][2][1].pop(), "do not fit together"),
+        # a row one block taller, a lag one row short, a row one block short
+        (lambda obj: obj["psi"][0][2].append(obj["psi"][0][2][0]),
+         "do not fit together"),
+        (lambda obj: obj["psi"][1].pop(), "do not fit together"),
+        (lambda obj: obj["psi"][1][0].pop(), "do not fit together"),
         (lambda obj: obj.__setitem__("L", 3), "expected L=3")])
     def test_malformed_kernel_json_is_data_error(self, edit, match):
         design = mixed_block_design()
@@ -664,6 +672,23 @@ class TestFitRowAndSelection:
         n_obs = design.n_eff * design.responses[0].shape[1]
         assert fit.aic == fit.bic == n_obs * np.log(1e-300)
 
+    def test_stop_rule_is_scale_free(self):
+        # curves scaled by c scale Y by c and the objective by c^2, so the
+        # stop rule's floor under |objective| must scale with ||Y||^2: an
+        # absolute 1e-12 stops rows early at c = 1e-7 (||Y_0||^2 = 6.7e-12)
+        model = gen_block_banded(6, G=4, bandwidth=1, seed=5)
+        panel = simulate(model, 60, grid=np.linspace(0, 1, 24), seed=5,
+                         stream=1)
+        runs = []
+        for c in (1.0, 1e-3, 1e-5, 1e-7):
+            stage1 = fpca_panel(CurvePanel(values=c * panel.values,
+                                           grid=panel.grid, ids=panel.ids),
+                                BasisSpec("bspline", 8), [3], [1e-4])
+            path = regularization_path(build_design(stage1.kl_models, 1), 0,
+                                       n_gammas=10)
+            runs.append([(f.iterations, f.active().tolist()) for f in path])
+        assert runs[1:] == runs[:1] * 3
+
     def test_bic_null_model_mostly_selects_empty(self):
         # measured behavior of the shrinkage-df BIC on pure noise: the
         # all-zero model wins in the large majority of replications, with an
@@ -937,6 +962,72 @@ class TestSweepPathThreads:
                 assert fit_objective(design, f1) == fit_objective(design, f2)
         for e1, e2 in zip(est1, est2):
             np.testing.assert_array_equal(e1.hs, e2.hs)
+
+
+class TestKernelColumns:
+    """A kernel estimate holds its row fits' Psi arrays, not a copy."""
+
+    @pytest.fixture(scope="class", params=[("uniform", 1), ("uniform", 2),
+                                           ("mixed", 1), ("mixed", 2)],
+                    ids=lambda v: f"{v[0]}-L{v[1]}")
+    def sweep(self, request):
+        blocks, L = request.param
+        kl = (oracle_models(p=4, q=3)[0] if blocks == "uniform"
+              else mixed_block_models())
+        return sweep_path(build_design(kl, L), kl, n_gammas=6)
+
+    def test_columns_are_the_fits_arrays(self, sweep):
+        paths, estimates = sweep
+        for i, est in enumerate(estimates):
+            assert all(c is path[i].psi_stacked
+                       for c, path in zip(est.columns, paths, strict=True))
+        fits = [path[2] for path in paths][::-1]
+        est = recover_kernels(fits, estimates[2].kl_models)
+        for j, c in enumerate(est.columns):
+            assert c is fits[-1 - j].psi_stacked
+
+    def test_hs_equals_the_stacked_formula(self, sweep):
+        _, estimates = sweep
+        for est in estimates:
+            np.testing.assert_array_equal(est.hs, hs_stacked(est))
+        hs = np.array([est.hs for est in estimates])
+        assert 0 < np.count_nonzero(hs) < hs.size
+
+    def test_lags_are_the_stacked_layout(self, sweep):
+        paths, estimates = sweep
+        for i, est in enumerate(estimates):
+            o, lags = est.offsets, est.lags
+            assert lags.shape == (est.L, o[-1], o[-1])
+            for h in range(est.L):
+                for j, path in enumerate(paths):
+                    for k in range(est.p):
+                        block = lags[h, o[k]:o[k + 1], o[j]:o[j + 1]]
+                        np.testing.assert_array_equal(block, path[i].psi[h][k])
+                        np.testing.assert_array_equal(block, est.psi[h][j][k])
+
+    def test_json_round_trip_is_byte_exact(self, sweep):
+        _, estimates = sweep
+        for est in estimates:
+            text = est.to_json()
+            back = KernelEstimate.from_json(text)
+            assert back.to_json() == text
+            np.testing.assert_array_equal(back.hs, est.hs)
+
+    def test_estimates_add_little_to_their_fits(self):
+        design = desk_design()
+        kl = [kl_from_scores(r, BasisSpec("fourier", 5))
+              for r in design.responses]
+        paths = regularization_path(design, range(design.p), n_gammas=8)
+        psi_bytes = sum(f.psi_stacked.nbytes for path in paths for f in path)
+        tracemalloc.start()
+        try:
+            estimates = [recover_kernels([path[i] for path in paths], kl)
+                         for i in range(8)]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(estimates) == 8
+        assert held < 0.1 * psi_bytes
 
 
 class TestRecoverKernels:
