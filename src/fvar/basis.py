@@ -21,7 +21,6 @@ scipy.interpolate.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +55,14 @@ class BasisSpec:
     def length(self) -> float:
         return self.domain[1] - self.domain[0]
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "dimension": self.dimension,
-                           "domain": list(self.domain)})
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "dimension": self.dimension,
+                "domain": list(self.domain)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "BasisSpec":
         return cls(kind=obj["kind"], dimension=int(obj["dimension"]),
                    domain=tuple(obj["domain"]))
-
-    @classmethod
-    def from_json(cls, text: str) -> "BasisSpec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ matrix, applied to the whole stack by one ``matmul``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,7 +70,7 @@ class KLModel:
 
     def to_dict(self) -> dict:
         return {
-            "basis": json.loads(self.basis.to_json()),
+            "basis": self.basis.to_dict(),
             "mean_coeffs": self.mean_coeffs.tolist(),
             "eigenvalues": self.eigenvalues.tolist(),
             "eigen_coeffs": self.eigen_coeffs.tolist(),

@@ -203,13 +203,15 @@ def relative_error(kernels: KernelEstimate, truth: VFARModel) -> float:
     o = kernels.offsets
     chunk = max(1, _CHUNK_BYTES // (8 * p * rows * rows))
     num = den = 0.0
-    for lag, blocks in zip(kernels.lags, truth.blocks):
+    Q = o[-1]
+    for h, blocks in enumerate(truth.blocks):
         for lo in range(0, p, chunk):
             hi = min(lo + chunk, p)
             n = hi - lo
             # row j of the chunk: [Psi_j1^T ... Psi_jp^T], and [B_j1 ... B_jp]
             psi_rows = np.zeros((n * q, p * q))
-            psi_rows[np.ix_(pos[o[lo]:o[hi]] - lo * q, pos)] = lag[:, o[lo]:o[hi]].T
+            psi_rows[np.ix_(pos[o[lo]:o[hi]] - lo * q, pos)] = np.vstack(
+                [c[h * Q:(h + 1) * Q].T for c in kernels.columns[lo:hi]])
             b_rows = blocks[lo:hi].transpose(0, 2, 1, 3).reshape(n, G, p * G)
             true = _times_transposed(V[lo:hi] @ b_rows, V)
             diff = _times_transposed(U[lo:hi] @ psi_rows.reshape(n, q, p * q), U)
@@ -221,10 +223,11 @@ def relative_error(kernels: KernelEstimate, truth: VFARModel) -> float:
     return float(np.sqrt(num / den))
 
 
-def cidr_transform(prices: np.ndarray, grid=None, ids=None,
+def cidr_transform(prices: np.ndarray, ids=None,
                    demean: bool = True) -> CurvePanel:
     """Cumulative intraday return curves, in percent:
-    100 (log P(u) - log P(open)), optionally centered per variable."""
+    100 (log P(u) - log P(open)), optionally centered per variable, on the
+    uniform grid of [0, 1] with one point per intraday price."""
     prices = np.asarray(prices, dtype=float)
     if prices.ndim != 3:
         raise ConfigError("prices must be an (n, p, T) array")
@@ -235,7 +238,5 @@ def cidr_transform(prices: np.ndarray, grid=None, ids=None,
     curves = 100.0 * (np.log(prices) - np.log(prices[:, :, :1]))
     if demean:
         curves = curves - curves.mean(axis=0, keepdims=True)
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, prices.shape[2])
-    return CurvePanel(values=curves, grid=np.asarray(grid, dtype=float),
+    return CurvePanel(values=curves, grid=np.linspace(0.0, 1.0, prices.shape[2]),
                       ids=list(ids) if ids else [])

@@ -92,10 +92,10 @@ class CurvePanel:
                 fh.write(template % tuple(args))
 
     @classmethod
-    def from_csv(cls, path, grid=None) -> "CurvePanel":
-        """Read the long format; the grid itself is not stored in the CSV,
-        so pass it explicitly or a uniform [0, 1] grid is assumed.  A
-        negative or repeated (variable, t, grid_index) is a DataError."""
+    def from_csv(cls, path) -> "CurvePanel":
+        """Read the long format.  The CSV stores grid indices, not grid
+        points, so the panel gets the uniform grid of [0, 1].  A negative or
+        repeated (variable, t, grid_index) is a DataError."""
         codes: dict[str, int] = {}
         times, var_of, points = array("q"), array("q"), array("q")
         values = array("d")
@@ -156,9 +156,8 @@ class CurvePanel:
                 "duplicate": f"duplicate row for {key}",
             }[kind])
         panel = blocks.array()
-        if grid is None:
-            grid = np.linspace(0.0, 1.0, panel.shape[2])
-        return cls(values=panel, grid=np.asarray(grid, dtype=float), ids=ids)
+        return cls(values=panel, grid=np.linspace(0.0, 1.0, panel.shape[2]),
+                   ids=ids)
 
     def to_npz(self, path) -> None:
         """Binary round-trip format (values, grid and ids)."""

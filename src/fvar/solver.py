@@ -588,8 +588,7 @@ class KernelEstimate:
     ``columns[j]`` is row j's read-only array, kept as given (a fit's
     ``psi_stacked``): its rows (h-1) sum q + offsets[k:k+2] hold the block
     Psi_jk^(h) of A_jk^(h)(u, v) = phi_k(v)^T Psi_jk^(h) phi_j(u).  The view
-    ``psi[h-1][j][k]`` of each block, and ``lags``, the (L, sum q, sum q)
-    stack with row j in column slice j, are made on each access."""
+    ``psi[h-1][j][k]`` of each block is made on each access."""
 
     kl_models: list
     columns: list                                   # j -> (L sum q, q_j)
@@ -628,11 +627,13 @@ class KernelEstimate:
         return [[[c[h + o[k]:h + o[k + 1]] for k in range(self.p)]
                  for c in self.columns] for h in o[-1] * np.arange(self.L)]
 
-    @property
-    def lags(self) -> np.ndarray:
-        return np.hstack(self.columns).reshape(self.L, self.offsets[-1], -1)
-
     def evaluate(self, h: int, j: int, k: int, u, v) -> np.ndarray:
+        """A_jk^(h) on the product grid u x v, for h in [1, L]."""
+        if isinstance(h, bool) or not isinstance(h, (int, np.integer)) \
+                or not 1 <= h <= self.L:
+            raise ConfigError(f"lag {h!r} is not an integer in [1, L={self.L}]")
+        for var in (j, k):
+            check_indices([var], self.p, "variable", "p")
         a = (h - 1) * self.offsets[-1] + self.offsets[k]
         block = self.columns[j][a:a + self.kl_models[k].q]
         return (self.kl_models[j].eigenfunctions(u) @ block.T

@@ -98,7 +98,7 @@ class VFARModel:
     def to_json(self) -> str:
         return json.dumps({
             "L": self.L, "p": self.p,
-            "basis": json.loads(self.basis.to_json()),
+            "basis": self.basis.to_dict(),
             "blocks": self.blocks.tolist(),
             "noise_scale": self.noise_scale,
             "measurement_noise": self.measurement_noise,
@@ -126,14 +126,13 @@ def _entries(rng, p: int, G: int) -> np.ndarray:
 
 
 def _random_model(kind: str, mask: np.ndarray, entries: np.ndarray, rng,
-                  basis: BasisSpec | None, noise_scale: float,
                   measurement_noise: float, seed: int, **meta) -> VFARModel:
     """Lag-1 model with blocks ``entries`` on the (p, p) ``mask``, rescaled to
     spectral radius iota ~ U[0.5, 1] drawn from ``rng``."""
     model = VFARModel(L=1, p=len(mask),
-                      basis=basis or BasisSpec("fourier", entries.shape[-1]),
+                      basis=BasisSpec("fourier", entries.shape[-1]),
                       blocks=entries * mask[None, :, :, None, None],
-                      noise_scale=noise_scale, measurement_noise=measurement_noise)
+                      measurement_noise=measurement_noise)
     rho = model.spectral_radius()
     if rho <= 0:
         raise ConfigError("generated transition matrix is identically zero")
@@ -144,11 +143,11 @@ def _random_model(kind: str, mask: np.ndarray, entries: np.ndarray, rng,
 
 
 def gen_block_sparse(p: int, G: int = 5, per_row_degree: int = 5, seed: int = 0,
-                     noise_scale: float = 1.0, measurement_noise: float = 0.5,
-                     basis: BasisSpec | None = None) -> VFARModel:
-    """Lag-1 model with exactly ``per_row_degree`` nonzero blocks per block
-    row at uniformly random positions, standard-normal entries, rescaled to
-    spectral radius iota ~ U[0.5, 1]."""
+                     measurement_noise: float = 0.5) -> VFARModel:
+    """Lag-1 model in the G-dimensional Fourier basis with exactly
+    ``per_row_degree`` nonzero blocks per block row at uniformly random
+    positions, standard-normal entries, rescaled to spectral radius
+    iota ~ U[0.5, 1]; innovations have unit scale."""
     if not 1 <= per_row_degree <= p:
         raise ConfigError("per_row_degree must be in [1, p]")
     rng = rng_stream(seed)
@@ -156,22 +155,23 @@ def gen_block_sparse(p: int, G: int = 5, per_row_degree: int = 5, seed: int = 0,
     mask = np.zeros((p, p), dtype=bool)
     for j in range(p):
         mask[j, rng.choice(p, size=per_row_degree, replace=False)] = True
-    return _random_model("block_sparse", mask, entries, rng, basis, noise_scale,
-                         measurement_noise, seed, degree=per_row_degree)
+    return _random_model("block_sparse", mask, entries, rng, measurement_noise,
+                         seed, degree=per_row_degree)
 
 
 def gen_block_banded(p: int, G: int = 5, bandwidth: int = 2, seed: int = 0,
-                     noise_scale: float = 1.0, measurement_noise: float = 0.5,
-                     basis: BasisSpec | None = None) -> VFARModel:
-    """Lag-1 model with nonzero blocks exactly where |j - k| <= bandwidth."""
+                     measurement_noise: float = 0.5) -> VFARModel:
+    """Lag-1 model in the G-dimensional Fourier basis with nonzero blocks
+    exactly where |j - k| <= bandwidth, drawn and rescaled as in
+    ``gen_block_sparse``."""
     if bandwidth < 0:
         raise ConfigError("bandwidth must be nonnegative")
     rng = rng_stream(seed)
     entries = _entries(rng, p, G)
     j_idx, k_idx = np.indices((p, p))
     mask = np.abs(j_idx - k_idx) <= bandwidth
-    return _random_model("block_banded", mask, entries, rng, basis, noise_scale,
-                         measurement_noise, seed, bandwidth=bandwidth)
+    return _random_model("block_banded", mask, entries, rng, measurement_noise,
+                         seed, bandwidth=bandwidth)
 
 
 def var_lag_path(coefs: np.ndarray, innov: np.ndarray) -> np.ndarray:
@@ -214,9 +214,10 @@ def simulate_coefficients(model: VFARModel, n: int, burn_in: int = DEFAULT_BURN_
 
 
 def simulate(model: VFARModel, n: int, grid=None, burn_in: int = DEFAULT_BURN_IN,
-             seed: int = 0, stream: int = 0, ids=None) -> CurvePanel:
-    """Simulate n curves per variable on the grid, adding i.i.d. Gaussian
-    measurement error of scale ``model.measurement_noise``."""
+             seed: int = 0, stream: int = 0) -> CurvePanel:
+    """Simulate n curves per variable on the grid (50 uniform points over
+    the basis domain by default), adding i.i.d. Gaussian measurement error
+    of scale ``model.measurement_noise``; the variables are named x0, x1, ..."""
     if grid is None:
         grid = np.linspace(model.basis.domain[0], model.basis.domain[1], 50)
     grid = np.asarray(grid, dtype=float)
@@ -228,7 +229,7 @@ def simulate(model: VFARModel, n: int, grid=None, burn_in: int = DEFAULT_BURN_IN
         # with coefficient-level simulation under the same (seed, stream)
         noise_rng = rng_stream(seed, stream + 2**32)
         values = values + model.measurement_noise * noise_rng.standard_normal(values.shape)
-    return CurvePanel(values=values, grid=grid, ids=list(ids or ()))
+    return CurvePanel(values=values, grid=grid)
 
 
 def companion_form(model: VFARModel) -> VFARModel:

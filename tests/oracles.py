@@ -349,20 +349,26 @@ def kkt_loop(gram, hmat, X, offsets, gamma):
     return zero_excess, active_res
 
 
+def stacked_lags(kernels):
+    """(L, sum q, sum q) stack of an estimate's columns: lag h-1 holds
+    Psi_jk^(h) in rows offsets[k:k+2] and columns offsets[j:j+2]."""
+    return np.hstack(kernels.columns).reshape(kernels.L, kernels.offsets[-1], -1)
+
+
 def hs_norms_loop(kernels):
     """(L, p, p) Frobenius norms of the blocks Psi_jk^(h), one
     ``np.linalg.norm`` per block."""
     o = kernels.offsets
     blocks = [slice(a, b) for a, b in zip(o, o[1:])]
     return np.array([[[np.linalg.norm(lag[k, j]) for k in blocks]
-                      for j in blocks] for lag in kernels.lags])
+                      for j in blocks] for lag in stacked_lags(kernels)])
 
 
 def hs_stacked(kernels):
     """(L, p, p) Frobenius norms of the blocks Psi_jk^(h) from the stacked
     (L, sum q, sum q) lag arrays: the squares summed over each column block
     j, then over each row block k, by two ``reduceat``s."""
-    lags, starts = kernels.lags, kernels.offsets[:-1]
+    lags, starts = stacked_lags(kernels), kernels.offsets[:-1]
     sq = np.add.reduceat(np.add.reduceat(lags * lags, starts, axis=2), starts,
                          axis=1)
     return np.sqrt(sq).transpose(0, 2, 1)

@@ -173,9 +173,9 @@ class TestGramMatrices:
 
 
 class TestBasisSpec:
-    def test_json_round_trip(self):
+    def test_dict_round_trip(self):
         spec = BasisSpec("bspline", 9, domain=(0.0, 2.5))
-        back = BasisSpec.from_json(spec.to_json())
+        back = BasisSpec.from_dict(spec.to_dict())
         assert back == spec
 
     def test_invalid_kind(self):

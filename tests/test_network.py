@@ -1,6 +1,7 @@
 """Tests for network extraction, ROC metrics and CIDR ingestion."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,26 @@ class TestRelativeError:
         assert est.support().any()
         expected = relative_error_loop(est, model)
         assert relative_error(est, model) == pytest.approx(expected, rel=1e-12)
+
+    def test_builds_no_stacked_lag_array(self):
+        # p=100 variables of q=5 components: one (sum q, sum q) float array
+        # is 2 MB, and relative_error must peak below half of that
+        rng = np.random.default_rng(13)
+        p, q = 100, 5
+        basis = BasisSpec("fourier", q)
+        kl = [kl_from_scores(rng.standard_normal((10, q)), basis)
+              for _ in range(p)]
+        est = KernelEstimate(kl, [rng.standard_normal((p * q, q))
+                                  for _ in range(p)])
+        truth = VFARModel(L=1, p=p, basis=basis,
+                          blocks=rng.standard_normal((1, p, p, q, q)))
+        tracemalloc.start()
+        try:
+            relative_error(est, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * (p * q) ** 2 * 8
 
     def test_variable_count_mismatch_is_config_error(self):
         est, _ = self.make_pair(1.0)

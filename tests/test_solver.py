@@ -15,8 +15,8 @@ from fvar.fpca import KLModel, fit_regularized_fpca
 from fvar.moments import sym_inv_sqrt
 from fvar.panel import CurvePanel
 from fvar.pipeline import fit_rows, fpca_panel, sweep_path
-from fvar.solver import (KernelEstimate, best_fit, block_fista_gram,
-                         build_design, default_gamma_grid,
+from fvar.solver import (KernelEstimate, _kernel_estimate, best_fit,
+                         block_fista_gram, build_design, default_gamma_grid,
                          df_from_contributions, fit_row, gamma_max,
                          group_soft_threshold, kkt_residuals, recover_kernels,
                          regularization_path, standardized_coeffs)
@@ -993,17 +993,18 @@ class TestKernelColumns:
         hs = np.array([est.hs for est in estimates])
         assert 0 < np.count_nonzero(hs) < hs.size
 
-    def test_lags_are_the_stacked_layout(self, sweep):
+    def test_psi_blocks_are_the_column_slices(self, sweep):
         paths, estimates = sweep
         for i, est in enumerate(estimates):
-            o, lags = est.offsets, est.lags
-            assert lags.shape == (est.L, o[-1], o[-1])
+            o = est.offsets
             for h in range(est.L):
                 for j, path in enumerate(paths):
                     for k in range(est.p):
-                        block = lags[h, o[k]:o[k + 1], o[j]:o[j + 1]]
+                        block = est.psi[h][j][k]
+                        rows = slice(h * o[-1] + o[k], h * o[-1] + o[k + 1])
+                        assert np.shares_memory(block, est.columns[j])
+                        np.testing.assert_array_equal(block, est.columns[j][rows])
                         np.testing.assert_array_equal(block, path[i].psi[h][k])
-                        np.testing.assert_array_equal(block, est.psi[h][j][k])
 
     def test_json_round_trip_is_byte_exact(self, sweep):
         _, estimates = sweep
@@ -1051,6 +1052,20 @@ class TestRecoverKernels:
         match = re.escape(f"got rows {sorted(rows)}")
         with pytest.raises(ConfigError, match=match):
             recover_kernels([fits[j] for j in rows], kl)
+
+    @pytest.mark.parametrize("h, j, k, named", [
+        (0, 0, 1, "lag 0"), (3, 0, 1, "lag 3"), (1, -1, 1, "variable -1"),
+        (1, 0, -1, "variable -1"), (2, 0, 3, "variable 3")])
+    def test_evaluate_rejects_a_bad_index(self, h, j, k, named):
+        rng = np.random.default_rng(63)
+        kl = [kl_from_scores(rng.standard_normal((10, 2)),
+                             BasisSpec("fourier", 2)) for _ in range(3)]
+        psi = [[[rng.standard_normal((2, 2)) for _ in range(3)]
+                for _ in range(3)] for _ in range(2)]
+        est = _kernel_estimate(2, kl, psi)
+        u = np.linspace(0, 1, 5)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            est.evaluate(h, j, k, u, u)
 
     def test_oracle_round_trip_reproduces_kernels(self):
         model = gen_block_banded(p=3, G=4, bandwidth=1, seed=60,

@@ -108,7 +108,8 @@ class TestSimulate:
     def test_bad_noise_scale_rejected(self, noise_scale):
         with pytest.raises(ConfigError, match="noise_scale must be positive "
                            "and finite"):
-            gen_block_banded(p=2, G=3, seed=8, noise_scale=noise_scale)
+            VFARModel(L=1, p=2, basis=BasisSpec("fourier", 3),
+                      blocks=np.zeros((1, 2, 2, 3, 3)), noise_scale=noise_scale)
 
     def test_simulation_independent_of_blas_threads(self, tmp_path):
         """One saved p=80 model simulated under 1 and 2 OpenBLAS threads

@@ -2,11 +2,14 @@
 
 Usage: python tools/cli_outputs.py OUTDIR
 
-Runs nine ``fvar`` commands on the ``desk`` preset, each as a subprocess
-with one BLAS thread, from inside OUTDIR and with relative ``--out`` and
-input names, so that the manifests do not depend on where OUTDIR is.  The
-37 files it writes are the same from one run to the next on one machine,
-so a change that should leave every output as it is can be checked with
+Runs fourteen ``fvar`` commands, each as a subprocess with one BLAS
+thread, from inside OUTDIR and with relative ``--out`` and input names, so
+that the manifests do not depend on where OUTDIR is.  They cover the
+``desk`` preset at lags 1 and 2, a sparse simulation, and CIDR ingestion of
+a small price CSV that the script writes first, followed by a fit that
+reads the CIDR panel back from CSV.  The 59 files it writes are the same
+from one run to the next on one machine, so a change that should leave
+every output as it is can be checked with
 
     python tools/cli_outputs.py /tmp/before     # on the parent commit
     python tools/cli_outputs.py /tmp/after      # on the change
@@ -21,6 +24,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,7 +42,28 @@ COMMANDS = [
      "--out", "network"),
     ("stability", "--out", "stability"),
     ("verify-concentration", "--reps", "10", "--out", "concentration"),
+    ("fit", *FIT, "--L", "2", "--gamma", "20", "--out", "fit_L2"),
+    ("network", "--kernels", "fit_L2/kernels.json", "--indegree", "3",
+     "--out", "network_L2"),
+    ("ingest-cidr", "--prices", "prices.csv", "--out", "cidr"),
+    # 12 grid points: a 15-dimensional B-spline basis would be rank deficient
+    ("fit", "--panel", "cidr/panel.csv", "--basis-dim", "8", "--q", "3",
+     "--eta", "0", "--gamma", "5", "--out", "fit_cidr"),
+    ("simulate", "--n", "60", "--p", "6", "--model", "sparse", "--degree", "2",
+     "--seed", "2", "--out", "sim_sparse"),
 ]
+
+
+def write_prices(path: Path) -> None:
+    """30 days x 4 tickers x 12 minutes of random-walk prices as a
+    long-format CSV (date, ticker, minute_index, price), each price written
+    as its repr."""
+    rng = np.random.default_rng(1)
+    log_prices = np.log(50.0) + np.cumsum(
+        0.01 * rng.standard_normal((30, 4, 12)), axis=2)
+    rows = [f"day{t:02d},T{j},{s},{float(np.exp(x))!r}"
+            for (t, j, s), x in np.ndenumerate(log_prices)]
+    path.write_text("\n".join(["date,ticker,minute_index,price", *rows]) + "\n")
 
 
 def main(argv: list[str]) -> int:
@@ -46,6 +72,7 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
+    write_prices(out / "prices.csv")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1", PYTHONPATH=str(SRC))
     for command in COMMANDS:
