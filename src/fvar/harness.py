@@ -19,14 +19,27 @@ shows up as a slope near -1/2.
 
 The replications of one sample size are simulated together, one chunk of
 time points at a time: each replication draws its chunk from its own Philox
-stream (chunked draws equal one draw), the AR(1) recursion steps once per
-time point for the whole batch, and the last state carries into the next
-chunk.  Each chunk adds its score cross-products to a per-replication
-(p q0 x p q0) accumulator, so no full panel is ever held.  One stacked
-``eigh`` of the diagonal blocks then gives the eigenvalues, and the
-covariance of the rotated scores is R^T cov R with R the block-diagonal of
-the sign-aligned eigenvectors.  One byte budget bounds both the number of
-replications reduced at once and the chunk length.
+stream (chunked draws equal one draw) into a (batch, T, p, q0) buffer, and
+the last state of the AR(1) recursion carries into the next chunk.  Each
+chunk adds its score cross-products to a per-replication (p q0 x p q0)
+accumulator, so no full panel is ever held.  One stacked ``eigh`` of the
+diagonal blocks then gives the eigenvalues, and the covariance of the
+rotated scores is R^T cov R with R the block-diagonal of the sign-aligned
+eigenvectors.  One byte budget bounds both the number of replications
+reduced at once and the chunk length; the chunk boundaries fix how the
+covariance sums are grouped, so moving them changes the last bits.
+
+numpy's inner loop runs over the last axis of a contiguous operand, so both
+passes over a chunk are laid out to give it long runs.  The innovation
+standard deviations are a (T, p, q0) array made once per call, not a (q0,)
+vector, which numpy would loop over q0 values at a time.  The recursion
+steps once per time point for the whole batch, so it runs on a time-major
+(T, batch, p, q0) copy of the chunk, where each step updates one contiguous
+batch p q0 slab; the chunk is yielded as its transposed view, which
+``_errors`` reshapes without a copy.  Each score sees the same operations
+in the same order as in a one-replication loop, so the panels equal that
+loop's bit for bit, and the layout leaves the covariances and medians as
+they were.
 """
 
 from __future__ import annotations
@@ -67,24 +80,33 @@ def _batch_sizes(reps: int, d: int, budget: int) -> tuple[int, int]:
 
 def _score_chunks(n: int, p: int, lams: np.ndarray, ar: float, rngs, chunk: int):
     """Yield (len(rngs), T, p, q0) chunks of exactly stationary score panels,
-    one per generator along axis 0, in time order.  The buffer is reused:
+    one per generator along axis 0, in time order.  The buffers are reused:
     each chunk is valid until the next one is drawn."""
     x = np.empty((len(rngs), min(chunk, n), p, lams.size))
     innov_sd = np.sqrt(lams * (1.0 - ar * ar))
+    scale = np.empty(x.shape[1:])
+    scale[:] = innov_sd
+    scale[0] = np.sqrt(lams)
+    if ar != 0.0:
+        steps = np.empty((x.shape[1], len(rngs), *x.shape[2:]))
     for t0 in range(0, n, chunk):
         cur = x[:, :n - t0]
+        T = cur.shape[1]
         for k, rng in enumerate(rngs):
             rng.standard_normal(out=cur[k])
-        cur[:, 0] *= innov_sd if t0 else np.sqrt(lams)
-        cur[:, 1:] *= innov_sd
+        cur *= scale[:T]
+        scale[0] = innov_sd
         if ar != 0.0:
+            tm = steps[:T]
+            tm[...] = cur.transpose(1, 0, 2, 3)
             # x[t] = shock + ar * x[t-1], the same two roundings per step as
             # ar * x[t-1] + shock
             if t0:
-                cur[:, 0] += ar * last
-            for t in range(1, cur.shape[1]):
-                cur[:, t] += ar * cur[:, t - 1]
-            last = cur[:, -1].copy()
+                tm[0] += ar * last
+            for t in range(1, T):
+                tm[t] += ar * tm[t - 1]
+            last = tm[-1].copy()
+            cur = tm.transpose(1, 0, 2, 3)
         yield cur
 
 
@@ -122,28 +144,39 @@ def _errors(chunks, n: int, lams: np.ndarray, alpha: float) -> np.ndarray:
                             cov_hat.max(axis=(1, 2))])
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; bools are flags, not sizes."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def run_concentration(p: int = 5, q0: int = 3, ns=(250, 500, 1000, 2000, 4000),
                       reps: int = 100, seed: int = 0, ar: float = 0.0,
                       alpha: float = 2.0) -> ConcentrationReport:
     """Sweep n, run ``reps`` replications each, and fit log-log slopes."""
     if not 0 <= ar < 1:
         raise ConfigError("ar must lie in [0, 1) for a stationary fixture")
+    for name, value in (("reps", reps), ("p", p), ("q0", q0), ("seed", seed)):
+        if not _is_integer(value):
+            raise ConfigError(f"{name} must be an integer; got {value!r}")
+    ns = list(ns)
+    if not all(_is_integer(n) for n in ns):
+        raise ConfigError(f"every sample size in ns must be an integer; got {ns}")
+    ns = [int(n) for n in ns]
     for name, value in (("reps", reps), ("p", p), ("q0", q0)):
         if value < 1:
             raise ConfigError(f"{name} must be at least 1; got {value}")
     if not np.isfinite(alpha):
         raise ConfigError(f"alpha must be finite; got {alpha}")
     if any(n < 2 for n in ns):
-        raise ConfigError(f"every sample size in ns must be at least 2; got {list(ns)}")
+        raise ConfigError(f"every sample size in ns must be at least 2; got {ns}")
     if len(set(ns)) < 2:
         raise ConfigError(f"ns needs at least two distinct sample sizes to fit a slope; "
-                          f"got {list(ns)}")
+                          f"got {ns}")
     lams = np.arange(1, q0 + 1, dtype=float) ** -alpha
     d = p * q0
     batch, chunk = _batch_sizes(reps, d, _BUDGET_BYTES)
     medians = {m: [] for m in METRICS}
     for i, n in enumerate(ns):
-        n = int(n)
         errs = []
         for first in range(0, reps, batch):
             rngs = [rng_stream(seed, stream=i * reps + r)
@@ -161,7 +194,7 @@ def run_concentration(p: int = 5, q0: int = 3, ns=(250, 500, 1000, 2000, 4000),
         coef, *_ = np.linalg.lstsq(design, np.log(medians[name]), rcond=None)
         slopes[name] = float(coef[0])
     stability = (1.0 + ar) / (1.0 - ar)
-    return ConcentrationReport(ns=list(ns), medians=medians, slopes=slopes,
+    return ConcentrationReport(ns=ns, medians=medians, slopes=slopes,
                                stability=stability)
 
 

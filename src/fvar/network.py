@@ -239,4 +239,4 @@ def cidr_transform(prices: np.ndarray, ids=None,
     if demean:
         curves = curves - curves.mean(axis=0, keepdims=True)
     return CurvePanel(values=curves, grid=np.linspace(0.0, 1.0, prices.shape[2]),
-                      ids=list(ids) if ids else [])
+                      ids=[] if ids is None else list(ids))

@@ -62,6 +62,11 @@ class CurvePanel:
             self.ids = [f"x{j}" for j in range(p)]
         if len(self.ids) != p:
             raise ConfigError("ids length does not match number of variables")
+        seen = set()
+        for name in self.ids:
+            if name in seen:
+                raise ConfigError(f"id {name!r} names more than one variable")
+            seen.add(name)
 
     @property
     def n(self) -> int:

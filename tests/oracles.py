@@ -508,6 +508,28 @@ def simulate_scores_loop(n, p, lams, ar, rng):
     return x
 
 
+def score_chunks_batch_major(n, p, lams, ar, rngs, chunk):
+    """``fvar.harness._score_chunks`` with every pass over the batch-major
+    (len(rngs), T, p, q0) buffer: the scale broadcast from (q0,) vectors and
+    the recursion stepping over strided (len(rngs), p, q0) slices.  The
+    reference that the contiguous layout must match bit for bit."""
+    x = np.empty((len(rngs), min(chunk, n), p, lams.size))
+    innov_sd = np.sqrt(lams * (1.0 - ar * ar))
+    for t0 in range(0, n, chunk):
+        cur = x[:, :n - t0]
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=cur[k])
+        cur[:, 0] *= innov_sd if t0 else np.sqrt(lams)
+        cur[:, 1:] *= innov_sd
+        if ar != 0.0:
+            if t0:
+                cur[:, 0] += ar * last
+            for t in range(1, cur.shape[1]):
+                cur[:, t] += ar * cur[:, t - 1]
+            last = cur[:, -1].copy()
+        yield cur
+
+
 def replication_errors_loop(xi, lams, alpha):
     """The concentration metrics of ``fvar.harness`` for one (n, p, q0) score
     panel: the largest blockwise Hilbert-Schmidt error of the lag-0

@@ -15,7 +15,8 @@ from fvar.errors import ConfigError
 from fvar.harness import METRICS, SCENARIOS, run_concentration
 from fvar.streams import rng_stream
 
-from oracles import replication_errors_loop, simulate_scores_loop
+from oracles import (replication_errors_loop, score_chunks_batch_major,
+                     simulate_scores_loop)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -61,11 +62,21 @@ class TestConcentration:
         (dict(reps=0), "reps"), (dict(p=0), "p must"), (dict(q0=0), "q0"),
         (dict(ns=(250, 250)), "ns"), (dict(ns=(0, 100)), "ns"),
         (dict(ns=(1, 100)), "ns"), (dict(alpha=np.nan), "alpha"),
-        (dict(alpha=np.inf), "alpha")])
+        (dict(alpha=np.inf), "alpha"), (dict(ns=(100.7, 200)), "ns"),
+        (dict(reps=2.5), "reps"), (dict(p=2.0), "p must"), (dict(q0=True), "q0"),
+        (dict(seed=1.5), "seed"), (dict(ns=(np.True_, 200)), "ns")])
     def test_invalid_arguments_rejected(self, kwargs, name):
         args = dict(ns=(100, 200), reps=2) | kwargs
         with pytest.raises(ConfigError, match=name):
             run_concentration(**args)
+
+    def test_numpy_integer_sizes_accepted(self):
+        want = run_concentration(p=2, q0=2, ns=(50, 100), reps=2, seed=1)
+        got = run_concentration(p=np.int64(2), q0=np.int32(2),
+                                ns=np.array([50, 100]), reps=np.int64(2),
+                                seed=np.uint8(1))
+        assert got.ns == [50, 100] and all(type(n) is int for n in got.ns)
+        assert got.medians == want.medians
 
     @staticmethod
     def _assert_chunks_match_loop(n, reps, chunk, ar):
@@ -125,6 +136,20 @@ class TestConcentration:
         for name in METRICS:
             np.testing.assert_allclose(split.medians[name], one.medians[name],
                                        rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("ar", [0.0, 0.5, 0.9])
+    def test_layout_matches_batch_major_bit_for_bit(self, monkeypatch, ar):
+        args = dict(p=4, q0=3, ns=(50, 300), reps=7, seed=5, ar=ar)
+        d = 12
+        budget = 16 * d * d * 2
+        # two replications per batch, and 12-point chunks that 50 and 300 cross
+        assert harness._batch_sizes(7, d, budget) == (2, 12)
+        monkeypatch.setattr(harness, "_BUDGET_BYTES", budget)
+        got = run_concentration(**args)
+        monkeypatch.setattr(harness, "_score_chunks", score_chunks_batch_major)
+        want = run_concentration(**args)
+        assert got.medians == want.medians
+        assert got.slopes == want.slopes
 
     def test_c07_run_stays_under_two_megabytes(self):
         tracemalloc.start()

@@ -282,6 +282,14 @@ class TestCidr:
         panel = cidr_transform(prices)
         np.testing.assert_allclose(panel.values.mean(axis=0), 0.0, atol=1e-12)
 
+    def test_ids_given_as_array(self):
+        panel = cidr_transform(np.ones((2, 2, 3)), ids=np.array(["a", "b"]))
+        assert panel.ids == ["a", "b"]
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ConfigError, match="id 'a' names more than one"):
+            cidr_transform(np.ones((2, 3, 3)), ids=("b", "a", "a"))
+
     def test_nonpositive_price_reports_coordinates(self):
         prices = np.ones((2, 2, 3))
         prices[1, 0, 2] = -1.0

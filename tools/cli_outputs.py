@@ -2,12 +2,13 @@
 
 Usage: python tools/cli_outputs.py OUTDIR
 
-Runs fourteen ``fvar`` commands, each as a subprocess with one BLAS
+Runs fifteen ``fvar`` commands, each as a subprocess with one BLAS
 thread, from inside OUTDIR and with relative ``--out`` and input names, so
 that the manifests do not depend on where OUTDIR is.  They cover the
-``desk`` preset at lags 1 and 2, a sparse simulation, and CIDR ingestion of
-a small price CSV that the script writes first, followed by a fit that
-reads the CIDR panel back from CSV.  The 59 files it writes are the same
+``desk`` preset at lags 1 and 2, a sparse simulation, the concentration
+harness on its independent and AR(1) fixtures, and CIDR ingestion of a
+small price CSV that the script writes first, followed by a fit that reads
+the CIDR panel back from CSV.  The 62 files it writes are the same
 from one run to the next on one machine, so a change that should leave
 every output as it is can be checked with
 
@@ -42,6 +43,10 @@ COMMANDS = [
      "--out", "network"),
     ("stability", "--out", "stability"),
     ("verify-concentration", "--reps", "10", "--out", "concentration"),
+    # the AR(1) fixture: at 10 replications the chunk is 436 points, so
+    # n=4000 crosses nine chunk boundaries
+    ("verify-concentration", "--reps", "10", "--ar", "0.5", "--compare-ar", "0.9",
+     "--out", "concentration_ar"),
     ("fit", *FIT, "--L", "2", "--gamma", "20", "--out", "fit_L2"),
     ("network", "--kernels", "fit_L2/kernels.json", "--indegree", "3",
      "--out", "network_L2"),
